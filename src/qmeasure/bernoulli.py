@@ -163,7 +163,7 @@ def straddle_set_cardinality(model: BernoulliModel) -> int:
 
 
 def uniform_primitive_cardinality(model: BernoulliModel) -> int:
-    """Minial cardinality of an event that is not below the threshold under
+    """Minimal cardinality of an event that is not below the threshold under
     the fair product measure: the least integer at least eps * 2**n.  Events
     of smaller cardinality are precluded at the eps level and the events of
     exactly this cardinality are the duals of the primitive approximate

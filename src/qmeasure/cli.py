@@ -19,9 +19,6 @@ from .exact import parse_rational
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default: human table)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; accepted for interface stability, "
-                             "results never depend on it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,9 +348,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; malformed input is exit 1 here
         return 0 if exc.code in (0, None) else 1
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return _COMMANDS[args.command](args)
     except SizeCapError as exc:

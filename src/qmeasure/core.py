@@ -23,6 +23,12 @@ Interference is measured by the inclusion-exclusion hierarchy ``I_k``; a
 theory is of level ``k`` when ``I_{k+1}`` vanishes on all disjoint tuples,
 which also forces all higher terms to vanish.  Classical probability theory
 is level one; measures arising from unitary quantum theories are level two.
+
+Scans of the whole event lattice run on integers: the measure of every
+event is held over one common denominator and transformed by
+``qmeasure.lattice``.  The weights and decoherence forms give the Moebius
+transform of their measure directly (singletons and pairs), so their table
+is one zeta transform; ``Fraction`` appears only where values leave.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import lattice
 from .exact import CZERO, ComplexRational, format_rational, parse_rational
 
 #: Brute-force scans over all 2**n events are refused above this size unless
@@ -313,8 +320,9 @@ class HistoriesTheory:
             raise TypeError("measure must be a TableMeasure, DecoherenceMeasure, or WeightsMeasure")
         self.space = space
         self.measure = measure
-        self._table: list[Fraction] | None = None
-        self._negligible_cache: dict[Fraction, bytearray] = {}
+        self._ints: tuple[list[int], int] | None = None
+        self._table: list[Fraction] | None = None  # built only by full_table
+        self._negligible_cache: dict[Fraction, int] = {}
 
     # -- constructors --------------------------------------------------
 
@@ -359,11 +367,12 @@ class HistoriesTheory:
             raise ValueError("event belongs to a different sample space")
 
     def mu_mask(self, mask: int) -> Fraction:
-        if self._table is not None:
-            return self._table[mask]
         m = self.measure
         if m.kind == "table":
             return m.values[mask]
+        if self._ints is not None:
+            table, denom = self._ints
+            return Fraction(table[mask], denom)
         if m.kind == "weights":
             total = ZERO
             rest = mask
@@ -406,86 +415,84 @@ class HistoriesTheory:
                     acc = acc + matrix[i][j]
         return acc
 
+    def _lattice(self, override_cap: bool = False) -> tuple[list[int], int]:
+        """The measure of every event as ``(t, L)`` with mu(A) = t[A] / L over
+        one common denominator L (capped for the weights and decoherence
+        forms, whose tables are not stored)."""
+        if self._ints is None:
+            m = self.measure
+            if m.kind == "table":
+                self._ints = lattice.over_common_denominator(
+                    [m.values[mask] for mask in range(1 << self.space.n)])
+            else:
+                n = self.space.n
+                _check_enum_cap(n, override_cap)
+                coeffs, denom = self._sparse_moebius()
+                self._ints = (lattice.zeta(coeffs, n), denom)
+        return self._ints
+
+    def _sparse_moebius(self) -> tuple[list[int], int]:
+        """The Moebius transform of a weights or decoherence measure, read
+        off the data: w_i (weights) or D_ii (decoherence) on {i}, and
+        Re(D_ij + D_ji) on {i, j}; zero on larger events.  Over its common
+        denominator, as ``(m, L)``."""
+        n = self.space.n
+        m = self.measure
+        if m.kind == "weights":
+            coeffs = [ZERO] * (1 << n)
+            for i, w in enumerate(m.weights):
+                coeffs[1 << i] = w
+        else:
+            blocks = [CZERO] * (1 << n)
+            for i in range(n):
+                blocks[1 << i] = m.matrix[i][i]
+            for i, j in combinations(range(n), 2):
+                blocks[1 << i | 1 << j] = m.matrix[i][j] + m.matrix[j][i]
+            if any(c.imag for c in blocks):
+                imag, _ = lattice.over_common_denominator([c.imag for c in blocks])
+                bad = next(mask for mask, v in enumerate(lattice.zeta(imag, n)) if v)
+                raise ValueError(
+                    f"measure of event {hex(bad)} is not real; "
+                    "the decoherence matrix is not Hermitian (run validate)"
+                )
+            coeffs = [c.real for c in blocks]
+        return lattice.over_common_denominator(coeffs)
+
     def full_table(self, override_cap: bool = False) -> list[Fraction]:
         """The measure of every event, indexed by mask (capped)."""
         if self._table is None:
-            n = self.space.n
-            size = 1 << n
             m = self.measure
             if m.kind == "table":
-                self._table = [m.values[mask] for mask in range(size)]
-            elif m.kind == "weights":
-                _check_enum_cap(n, override_cap)
-                table = [ZERO] * size
-                for mask in range(1, size):
-                    low = mask & -mask
-                    table[mask] = table[mask ^ low] + m.weights[low.bit_length() - 1]
-                self._table = table
+                self._table = [m.values[mask] for mask in range(1 << self.space.n)]
             else:
-                _check_enum_cap(n, override_cap)
-                # incremental block sums: adding history k to the block adds
-                # D_kk plus both cross strips against the existing members
-                ctable: list[ComplexRational] = [CZERO] * size
-                matrix = m.matrix
-                for mask in range(1, size):
-                    low = mask & -mask
-                    k = low.bit_length() - 1
-                    rest = mask ^ low
-                    acc = ctable[rest] + matrix[k][k]
-                    rr = rest
-                    while rr:
-                        bit = rr & -rr
-                        j = bit.bit_length() - 1
-                        acc = acc + matrix[k][j] + matrix[j][k]
-                        rr ^= bit
-                    ctable[mask] = acc
-                bad = next((mask for mask in range(size) if ctable[mask].imag != 0), None)
-                if bad is not None:
-                    raise ValueError(
-                        f"measure of event {hex(bad)} is not real; "
-                        "the decoherence matrix is not Hermitian (run validate)"
-                    )
-                self._table = [c.real for c in ctable]
+                table, denom = self._lattice(override_cap)
+                self._table = [Fraction(v, denom) for v in table]
         return self._table
 
     # -- null and negligible families ------------------------------------
 
     def null_family(self, override_cap: bool = False) -> tuple[int, ...]:
         """Masks of all events of measure exactly zero (capped scan)."""
-        table = self.full_table(override_cap)
-        return tuple(mask for mask, v in enumerate(table) if v == 0)
+        table, _ = self._lattice(override_cap)
+        return tuple(mask for mask, v in enumerate(table) if not v)
 
-    def _negligible_masks(self, eps: Fraction, override_cap: bool) -> bytearray:
+    def _negligible_masks(self, eps: Fraction, override_cap: bool) -> int:
+        """The family of (eps-)negligible events: the downward closure of
+        the events of measure 0 (eps == 0) or below eps (eps > 0)."""
         key = Fraction(eps)
         cached = self._negligible_cache.get(key)
         if cached is not None:
             return cached
         n = self.space.n
         _check_enum_cap(n, override_cap)
-        table = self.full_table(override_cap)
-        size = 1 << n
-        fam = bytearray(size)
-        if eps == 0:
-            for mask in range(size):
-                if table[mask] == 0:
-                    fam[mask] = 1
+        table, denom = self._lattice(override_cap)
+        if key == 0:
+            nulls = lattice.family_of(not v for v in table)
         else:
-            for mask in range(size):
-                if table[mask] < eps:
-                    fam[mask] = 1
-        # downward closure: marked events mark all single-deletion children;
-        # descending cardinality order propagates through chains
-        by_cardinality: list[list[int]] = [[] for _ in range(n + 1)]
-        for mask in range(size):
-            by_cardinality[mask.bit_count()].append(mask)
-        for cardinality in range(n, 0, -1):
-            for mask in by_cardinality[cardinality]:
-                if fam[mask]:
-                    rest = mask
-                    while rest:
-                        bit = rest & -rest
-                        fam[mask ^ bit] = 1
-                        rest ^= bit
+            # t / L < p / q  <=>  t * q < p * L
+            bound = key.numerator * denom
+            nulls = lattice.family_of(v * key.denominator < bound for v in table)
+        fam = lattice.down_closure(nulls, n)
         self._negligible_cache[key] = fam
         return fam
 
@@ -508,7 +515,7 @@ class HistoriesTheory:
         if self.kind == "weights":
             return self.is_null(event, eps)
         fam = self._negligible_masks(eps, override_cap)
-        return bool(fam[event.mask])
+        return bool(fam >> event.mask & 1)
 
     def minimal_nonnegligible(self, eps: Fraction = ZERO, override_cap: bool = False) -> tuple[int, ...]:
         """Masks that are minimal under inclusion among non-(eps-)negligible
@@ -516,31 +523,10 @@ class HistoriesTheory:
         preclusive multiplicative co-events."""
         eps = parse_rational(eps)
         n = self.space.n
-        if self.kind == "weights":
-            _check_enum_cap(n, override_cap)
-            table = self.full_table(override_cap)
-            if eps == 0:
-                negligible = [v == 0 for v in table]
-            else:
-                negligible = [v < eps for v in table]
-        else:
-            fam = self._negligible_masks(eps, override_cap)
-            negligible = [bool(b) for b in fam]
-        out = []
-        for mask in range(1, 1 << n):
-            if negligible[mask]:
-                continue
-            rest = mask
-            minimal = True
-            while rest:
-                bit = rest & -rest
-                if not negligible[mask ^ bit]:
-                    minimal = False
-                    break
-                rest ^= bit
-            if minimal:
-                out.append(mask)
-        return tuple(out)
+        fam = self._negligible_masks(eps, override_cap)
+        everything = (1 << (1 << n)) - 1
+        # the empty event is never a dual
+        return tuple(lattice.members(lattice.minimal(everything ^ fam, n) & ~1))
 
     # -- interference hierarchy ------------------------------------------
 
@@ -580,19 +566,11 @@ class HistoriesTheory:
         """
         n = self.space.n
         _check_enum_cap(n, override_cap)
-        table = self.full_table(override_cap)
-        transform = list(table)
-        size = 1 << n
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(size):
-                if mask & bit:
-                    transform[mask] = transform[mask] - transform[mask ^ bit]
-        level = 1
-        for mask in range(size):
-            if transform[mask] != 0:
-                level = max(level, mask.bit_count())
-        return level
+        if self.kind == "table":
+            transform = lattice.moebius(list(self._lattice()[0]), n)
+        else:
+            transform, _ = self._sparse_moebius()
+        return max([1] + [mask.bit_count() for mask, v in enumerate(transform) if v])
 
     # -- coarse graining ---------------------------------------------------
 
@@ -664,37 +642,38 @@ class HistoriesTheory:
 
         null_events: tuple[int, ...] | None = None
         hermitian_broken = any(v.axiom == "hermiticity" for v in violations)
-        table = None
+        lattice_table = None
         if not hermitian_broken:  # else the block sums are not even real
             try:
-                table = self.full_table(override_cap)
+                lattice_table = self._lattice(override_cap)
             except SizeCapError:
                 warnings.append(
                     "event lattice beyond enumeration cap; positivity checked per query only"
                 )
-        if table is not None:
-            if table[0] != 0:
+        if lattice_table is not None:
+            table, denom = lattice_table
+            if table[0]:
                 violations.append(AxiomViolation(
-                    "empty-set", "0x0", f"measure of the empty event is {format_rational(table[0])}"
+                    "empty-set", "0x0",
+                    f"measure of the empty event is {format_rational(Fraction(table[0], denom))}"
                 ))
             full = (1 << n) - 1
-            if m.kind == "table" and table[full] != 1:
+            if m.kind == "table" and table[full] != denom:
                 violations.append(AxiomViolation(
-                    "unitality", format_mask(full), f"measure of Omega is {format_rational(table[full])}"
+                    "unitality", format_mask(full),
+                    f"measure of Omega is {format_rational(Fraction(table[full], denom))}"
                 ))
             if m.kind != "weights":
                 # nonnegative weights already force nonnegative sums
                 for mask, value in enumerate(table):
                     if value < 0:
                         violations.append(AxiomViolation(
-                            "positivity", format_mask(mask), f"measure {format_rational(value)} < 0"
+                            "positivity", format_mask(mask),
+                            f"measure {format_rational(Fraction(value, denom))} < 0"
                         ))
-            null_events = tuple(mask for mask, value in enumerate(table) if value == 0)
+            null_events = tuple(mask for mask, value in enumerate(table) if not value)
 
         valid = not violations
-        if valid and null_events is not None:
-            # prime the exact negligible family while the table is warm
-            self._negligible_masks(ZERO, override_cap)
         return ValidationReport(valid, tuple(violations), tuple(warnings), null_events)
 
 

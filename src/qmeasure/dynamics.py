@@ -4,9 +4,8 @@ Moving the dynamics from the event algebra onto the co-events means finding a
 probability assignment over a set S of multiplicative co-events such that,
 for every event A, the total probability of the co-events affirming A equals
 the measure of A.  The constraint set is linear with 0/1 coefficients and
-exact rational right-hand sides, so feasibility and extremal probabilities
-are decided by exact rational elimination and simplex; no floating point is
-involved, which matters because the headline conclusion is an exact zero.
+exact rational right-hand sides; no floating point is involved, which
+matters because the headline conclusion is an exact zero.
 
 That conclusion: any co-event carrying positive probability in such an
 assignment must satisfy the three-event symmetric-difference identity
@@ -16,6 +15,13 @@ assignment must satisfy the three-event symmetric-difference identity
 for all events A, B, C.  The identity needs checking on disjoint triples
 only; its integer-lifted defect is always 0 or 1 for multiplicative
 co-events, and its Z2 defect is the integer defect mod 2.
+
+When the rows are the whole event algebra they are the zeta transform of the
+assignment (extended by zero off S), so the system has at most one solution:
+the Moebius transform m of the measure.  It is feasible exactly when m
+vanishes off S and is nonnegative on S, and the signed Moebius row of the
+first event breaking that is a Farkas certificate.  Systems restricted to
+some of the rows are decided by exact rational two-phase simplex.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import lattice
 from .core import Event, HistoriesTheory, _check_enum_cap, format_mask, format_rational
 from .coevents import CoEvent
 
@@ -325,6 +332,40 @@ def _verify_farkas(system: FeasibilitySystem, y) -> None:
     assert rhs > 0, "certificate fails on the right-hand side"
 
 
+def _is_full_algebra(system: FeasibilitySystem) -> bool:
+    """Are the rows the events of the whole algebra, in ascending mask order?"""
+    rows = system.rows
+    return (len(rows) == 1 << system.coevents[0].space.n
+            and all(row.event_mask == mask for mask, row in enumerate(rows)))
+
+
+def _solve_full_algebra(system: FeasibilitySystem) -> FeasibilityResult:
+    """The Moebius closed form for a full-algebra system.
+
+    Row A reads sum(x_d for d contained in A) = mu(A), so the unique
+    candidate is x_d = m(d) with m the Moebius transform of mu.  If m breaks
+    at B (m(B) != 0 off the columns, or m(B) < 0 on one), then
+    y_A = sign(m(B)) * (-1)**|B - A| for A contained in B has column sums
+    -1 at a column B with m(B) < 0 and 0 at every other column, and
+    y.mu = |m(B)| > 0.
+    """
+    n = system.coevents[0].space.n
+    scaled, denom = lattice.over_common_denominator([row.rhs for row in system.rows])
+    m = lattice.moebius(scaled, n)
+    columns = {phi.dual_mask for phi in system.coevents}
+    bad = next((b for b, v in enumerate(m) if v < 0 or (v and b not in columns)), None)
+    if bad is None:
+        x = tuple(Fraction(m[phi.dual_mask], denom) for phi in system.coevents)
+        _verify_assignment(system, x)
+        return FeasibilityResult(True, x, None, None)
+    sign = ONE if m[bad] > 0 else -ONE
+    y = [ZERO] * len(m)
+    for a in _ascending_submasks(bad):
+        y[a] = -sign if (bad ^ a).bit_count() % 2 else sign
+    _verify_farkas(system, y)
+    return FeasibilityResult(False, None, None, tuple(y))
+
+
 def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
     """Decide whether a probability assignment exists.
 
@@ -335,6 +376,8 @@ def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
     for idx, row in enumerate(system.rows):
         if not any(row.coefficients) and row.rhs != 0:
             return FeasibilityResult(False, None, idx, None)
+    if _is_full_algebra(system):
+        return _solve_full_algebra(system)
     simplex = _ExactSimplex(
         [row.coefficients for row in system.rows],
         [row.rhs for row in system.rows],
@@ -353,8 +396,14 @@ def max_probability(system: FeasibilitySystem, phi: CoEvent) -> Fraction:
     """The largest probability the co-event can carry over the feasible
     region.  When the underlying measure obeys the two-site sum rule (level
     at most two), zero is forced for any co-event failing the three-event
-    identity; the converse does not hold."""
+    identity; the converse does not hold.  Over the full algebra the
+    feasible region is the single Moebius assignment."""
     j = system.index_of(phi)
+    if _is_full_algebra(system):
+        result = _solve_full_algebra(system)
+        if not result.feasible:
+            raise ValueError("system is infeasible")
+        return result.assignment[j]
     simplex = _ExactSimplex(
         [row.coefficients for row in system.rows],
         [row.rhs for row in system.rows],

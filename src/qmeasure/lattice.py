@@ -1,0 +1,106 @@
+"""Transforms over the subset lattice of n histories, in exact integers.
+
+A function on the event algebra is a list of ``2**n`` Python ints indexed by
+event bitmask; a family of events is one Python int whose bit ``A`` marks
+membership of event ``A``.  Every transform is Yates' method: one pass per
+history, each pass combining every event without the history with the event
+that adds it, so O(n * 2**n) integer operations (Bjorklund, Husfeldt, Kaski
+and Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007).
+The passes run as slice operations, so the per-event work stays in C.
+
+Rational data enters through ``over_common_denominator``; integer arithmetic
+keeps every result exact.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from operator import add, sub
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator L:
+    ``([v * L for v in values], L)``."""
+    denom = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def _passes(values: list[int], n: int, op) -> list[int]:
+    """Apply ``values[A | bit] = op(values[A | bit], values[A])`` for every
+    history bit and every event A without it, in place."""
+    size = 1 << n
+    if len(values) != size:
+        raise ValueError(f"expected {size} values for {n} histories, got {len(values)}")
+    for i in range(n):
+        step = 1 << i
+        span = step << 1
+        if step * span <= size:
+            # few long strided slices: one per offset inside a block
+            for r in range(step):
+                values[step + r::span] = map(op, values[step + r::span], values[r::span])
+        else:
+            # few long contiguous slices: one per block
+            for lo in range(0, size, span):
+                mid, hi = lo + step, lo + span
+                values[mid:hi] = map(op, values[mid:hi], values[lo:mid])
+    return values
+
+
+def zeta(values: list[int], n: int) -> list[int]:
+    """Subset sums in place: ``values[A]`` becomes the sum of ``values[B]``
+    over all ``B`` contained in ``A``.  Returns the list."""
+    return _passes(values, n, add)
+
+
+def moebius(values: list[int], n: int) -> list[int]:
+    """The inverse of ``zeta`` in place: ``values[A]`` becomes the sum of
+    ``(-1)**|A - B| * values[B]`` over all ``B`` contained in ``A``.
+    Returns the list."""
+    return _passes(values, n, sub)
+
+
+def _without(i: int, n: int) -> int:
+    """The family of events that do not contain history ``i``."""
+    step = 1 << i
+    pattern = (1 << step) - 1
+    width = step << 1
+    while width < 1 << n:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern
+
+
+def down_closure(family: int, n: int) -> int:
+    """The events contained in some member of the family (superset-OR)."""
+    for i in range(n):
+        family |= (family >> (1 << i)) & _without(i, n)
+    return family
+
+
+def minimal(family: int, n: int) -> int:
+    """The members of the family none of whose one-history deletions is a
+    member."""
+    out = family
+    for i in range(n):
+        out &= ~((family & _without(i, n)) << (1 << i))
+    return out
+
+
+def family_of(flags) -> int:
+    """The family whose member ``A`` is marked by the truth of ``flags[A]``,
+    for an iterable of truth values in ascending mask order."""
+    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
+
+
+def members(family: int) -> list[int]:
+    """The members of a family in ascending mask order."""
+    digits = bin(family)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out

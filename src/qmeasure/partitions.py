@@ -258,8 +258,9 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
     (eps-)preclusive multiplicative co-events.
 
     Construction: compute the primitive duals, chain any two that intersect
-    (transitive closure via union-find), merge each class into a fat dual,
-    and append uncovered histories as singleton blocks.
+    (transitive closure via union-find over the histories each dual
+    covers), merge each class into a fat dual, and append uncovered
+    histories as singleton blocks.
 
     Uniform weights measures take a closed-form path: the primitive duals are
     exactly the subsets of the minimal non-(eps-)null cardinality m, so the
@@ -298,12 +299,17 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
         )
         return _assemble(theory, dual_masks, lambda i: 0)
     dual_masks = theory.minimal_nonnegligible(eps, override_cap)
-    uf = _UnionFind(len(dual_masks))
-    for i in range(len(dual_masks)):
-        for j in range(i + 1, len(dual_masks)):
-            if dual_masks[i] & dual_masks[j]:
-                uf.union(i, j)
-    return _assemble(theory, dual_masks, uf.find)
+    # intersecting duals share a history, so uniting each dual's members
+    # chains them; a class is named by the root of its duals' lowest member
+    uf = _UnionFind(space.n)
+    lowest = [(mask & -mask).bit_length() - 1 for mask in dual_masks]
+    for mask, first in zip(dual_masks, lowest):
+        rest = mask & (mask - 1)
+        while rest:
+            bit = rest & -rest
+            uf.union(first, bit.bit_length() - 1)
+            rest ^= bit
+    return _assemble(theory, dual_masks, lambda i: uf.find(lowest[i]))
 
 
 def iter_partitions(space: SampleSpace):

@@ -246,13 +246,3 @@ def test_unknown_command_exits_one(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
 
-
-def test_threads_flag_accepted(capsys, three_path_file):
-    code, out, _ = run(
-        capsys, "primitives", "--theory", three_path_file, "--threads", "4",
-        "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out) == [{"dual": "0x5"}]
-    code, _, err = run(capsys, "primitives", "--theory", three_path_file, "--threads", "0")
-    assert code == 1

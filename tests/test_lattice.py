@@ -1,0 +1,312 @@
+"""The integer lattice kernel and the paths built on it, against direct
+definitions and the independent oracles in ``helpers``."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmeasure import coevents as cv
+from qmeasure import dynamics as dy
+from qmeasure import lattice
+from qmeasure.checks import random_classical_theory
+from qmeasure.core import HistoriesTheory, SampleSpace
+from qmeasure.exact import CZERO, ComplexRational
+
+from helpers import (
+    amplitude_mu_oracle,
+    amplitude_theory,
+    brute_minimal_nonnegligible,
+    brute_negligible,
+    level_oracle,
+    submasks,
+)
+
+SMALL = settings(max_examples=40, deadline=None)
+
+
+def _space(n):
+    return SampleSpace(tuple(f"h{i}" for i in range(n)))
+
+
+def _supermasks(mask, n):
+    full = (1 << n) - 1
+    return [mask | extra for extra in submasks(full ^ mask)]
+
+
+@st.composite
+def int_functions(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    values = draw(st.lists(st.integers(-50, 50), min_size=1 << n, max_size=1 << n))
+    return n, values
+
+
+@st.composite
+def families(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    return n, draw(st.integers(0, (1 << (1 << n)) - 1))
+
+
+# ---------------------------------------------------------------------------
+# The transforms
+# ---------------------------------------------------------------------------
+
+
+@SMALL
+@given(int_functions())
+def test_zeta_is_subset_sums_and_moebius_inverts_it(case):
+    n, values = case
+    sums = lattice.zeta(list(values), n)
+    for mask in range(1 << n):
+        assert sums[mask] == sum(values[b] for b in submasks(mask))
+    signed = lattice.moebius(list(values), n)
+    for mask in range(1 << n):
+        assert signed[mask] == sum(
+            (-1) ** (mask ^ b).bit_count() * values[b] for b in submasks(mask)
+        )
+    assert lattice.moebius(sums, n) == values
+    assert lattice.zeta(signed, n) == values
+
+
+@SMALL
+@given(families())
+def test_down_closure_and_minimal_members(case):
+    n, family = case
+    member = [bool(family >> mask & 1) for mask in range(1 << n)]
+    closed = lattice.down_closure(family, n)
+    low = lattice.minimal(family, n)
+    for mask in range(1 << n):
+        assert bool(closed >> mask & 1) == any(member[s] for s in _supermasks(mask, n))
+        children = [mask ^ (1 << i) for i in range(n) if mask >> i & 1]
+        assert bool(low >> mask & 1) == (member[mask] and not any(member[c] for c in children))
+    assert lattice.members(family) == [m for m in range(1 << n) if member[m]]
+    assert lattice.family_of(member) == family
+
+
+@SMALL
+@given(st.lists(st.fractions(max_denominator=30), min_size=1, max_size=20))
+def test_over_common_denominator(values):
+    scaled, denom = lattice.over_common_denominator(values)
+    assert [Fraction(v, denom) for v in scaled] == values
+    assert denom == math.lcm(*(v.denominator for v in values))
+
+
+def test_transform_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        lattice.zeta([1, 2, 3], 2)
+
+
+# ---------------------------------------------------------------------------
+# Measure tables, level and negligible families in all three forms
+# ---------------------------------------------------------------------------
+
+amplitudes = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: ComplexRational.of(*p)),
+    min_size=1, max_size=5,
+)
+eps_values = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1), Fraction(9, 2)])
+
+
+def _check_against_oracles(theory, eps, level=True):
+    n = theory.space.n
+    if level:
+        assert theory.level() == level_oracle(theory)
+    for mask in range(1 << n):
+        event = theory.space.event_from_mask(mask)
+        assert theory.is_negligible(event, eps) == brute_negligible(theory, mask, eps)
+    assert theory.minimal_nonnegligible(eps) == brute_minimal_nonnegligible(theory, eps)
+
+
+@SMALL
+@given(amplitudes, eps_values)
+def test_decoherence_form_against_oracles(amps, eps):
+    theory = amplitude_theory(amps)
+    table = theory.full_table()
+    assert table == [amplitude_mu_oracle(amps, mask) for mask in range(1 << len(amps))]
+    _check_against_oracles(theory, eps)
+
+
+@SMALL
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=7),
+       st.sampled_from([1, 2, 3, 7]), eps_values)
+def test_weights_form_against_oracles(raw, scale, eps):
+    weights = [Fraction(r, scale) for r in raw]
+    theory = HistoriesTheory.from_weights(_space(len(raw)), weights)
+    table = theory.full_table()
+    for mask in range(1 << len(raw)):
+        assert table[mask] == sum((w for i, w in enumerate(weights) if mask >> i & 1), Fraction(0))
+    _check_against_oracles(theory, eps, level=len(raw) <= 5)
+
+
+@SMALL
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.fractions(min_value=0, max_value=3, max_denominator=6),
+    min_size=(1 << n) - 1, max_size=(1 << n) - 1)), eps_values)
+def test_table_form_against_oracles(nonempty, eps):
+    # the level oracle reads interference on nonempty events, which equals
+    # the Moebius transform only under the empty-set axiom mu(0) = 0
+    values = [Fraction(0)] + nonempty
+    n = len(values).bit_length() - 1
+    theory = HistoriesTheory.from_table(_space(n), dict(enumerate(values)))
+    assert theory.full_table() == values
+    _check_against_oracles(theory, eps)
+
+
+def _block_sum(matrix, mask):
+    members = [i for i in range(len(matrix)) if mask >> i & 1]
+    acc = CZERO
+    for i in members:
+        for j in members:
+            acc = acc + matrix[i][j]
+    return acc
+
+
+def test_asymmetric_real_parts_with_real_block_sums():
+    # not Hermitian, but every D_ij + D_ji is real, so every block sum is
+    c = ComplexRational.of
+    matrix = [
+        [c(1, 0), c(2, 1), c(Fraction(1, 3), -2)],
+        [c(-1, -1), c(2, 0), c(0, 5)],
+        [c(Fraction(1, 6), 2), c(1, -5), c(3, 0)],
+    ]
+    theory = HistoriesTheory.from_decoherence(_space(3), matrix)
+    table = theory.full_table()
+    for mask in range(8):
+        acc = _block_sum(matrix, mask)
+        assert acc.imag == 0 and table[mask] == acc.real
+    assert theory.level() == level_oracle(theory) == 2
+    report = theory.validate()
+    assert any(v.axiom == "hermiticity" for v in report.violations)
+
+
+@pytest.mark.parametrize("entries, first", [
+    ({(1, 1): (2, 1)}, "0x2"),          # imaginary diagonal of history 1
+    ({(0, 2): (0, 1)}, "0x5"),          # D_02 + D_20 not real
+    ({(2, 1): (1, 3), (2, 2): (1, -3)}, "0x4"),  # cancels only on {1, 2}
+])
+def test_non_real_block_sums_name_the_first_event(entries, first):
+    c = ComplexRational.of
+    matrix = [[c(1 if i == j else 0, 0) for j in range(3)] for i in range(3)]
+    for (i, j), (re, im) in entries.items():
+        matrix[i][j] = c(re, im)
+    expected = next(hex(m) for m in range(8) if _block_sum(matrix, m).imag != 0)
+    assert expected == first
+    theory = HistoriesTheory.from_decoherence(_space(3), matrix)
+    message = f"measure of event {first} is not real"
+    with pytest.raises(ValueError, match=message):
+        theory.full_table()
+    with pytest.raises(ValueError, match=message):
+        theory.level()
+    with pytest.raises(ValueError, match=message):
+        theory.minimal_nonnegligible()
+
+
+# ---------------------------------------------------------------------------
+# Full-algebra feasibility against the simplex
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def full_row_systems(draw):
+    n = draw(st.integers(1, 4))
+    space = _space(n)
+    if draw(st.booleans()):
+        # a measure with a nonnegative Moebius transform, so that the
+        # system is feasible whenever the candidates cover its support
+        m = [0] + draw(st.lists(st.integers(0, 2), min_size=(1 << n) - 1,
+                                max_size=(1 << n) - 1))
+        values = [Fraction(v, 3) for v in lattice.zeta(m, n)]
+    else:
+        values = [Fraction(0)] + draw(st.lists(
+            st.fractions(min_value=0, max_value=2, max_denominator=4),
+            min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    theory = HistoriesTheory.from_table(space, dict(enumerate(values)))
+    duals = draw(st.sets(st.integers(1, (1 << n) - 1), min_size=1))
+    return dy.build_feasibility(theory, [cv.CoEvent(space, dual_mask=d) for d in duals])
+
+
+def _simplex(system):
+    return dy._ExactSimplex(
+        [row.coefficients for row in system.rows],
+        [row.rhs for row in system.rows],
+        len(system.coevents),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(full_row_systems())
+def test_closed_form_feasibility_matches_simplex(system):
+    result = dy.solve_feasibility(system)
+    simplex = _simplex(system)
+    feasible, _ = simplex.phase_one()
+    assert result.feasible == feasible
+    if not feasible:
+        if result.inconsistent_row is None:
+            dy._verify_farkas(system, result.farkas)
+        for phi in system.coevents:
+            with pytest.raises(ValueError):
+                dy.max_probability(system, phi)
+        return
+    # the full-algebra system has exactly one solution
+    assert list(result.assignment) == simplex.solution()
+    for j, phi in enumerate(system.coevents):
+        reference = _simplex(system)
+        reference.phase_one()
+        costs = [Fraction(0)] * len(system.coevents)
+        costs[j] = Fraction(-1)
+        assert dy.max_probability(system, phi) == -reference.phase_two_min(costs)
+
+
+def test_closed_form_certificate_is_the_signed_moebius_row():
+    # mu({a, b}) = 1/2 < mu(a) + mu(b): m({a, b}) = -1/2 and {a, b} is not
+    # a candidate, so y_A = -(-1)**|{a, b} - A|
+    space = _space(2)
+    theory = HistoriesTheory.from_table(
+        space, {0: 0, 1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(1, 2)})
+    system = dy.build_feasibility(theory, [cv.dual(e) for e in space.singletons()])
+    result = dy.solve_feasibility(system)
+    assert not result.feasible
+    assert result.farkas == (-1, 1, 1, -1)
+    assert dy.feasibility_result_to_json(system, result)["certificate"] == {
+        "farkas": ["-1", "1", "1", "-1"]}
+
+
+# ---------------------------------------------------------------------------
+# Operations at the enumeration cap
+# ---------------------------------------------------------------------------
+
+
+def test_operations_finish_at_the_cap():
+    # rank-one decoherence at n = 16: amplitudes -1, 1, 3, ..., 3 over 42,
+    # whose only null events are the empty event and {h0, h1}
+    n = 16
+    amps = [Fraction(-1, 42), Fraction(1, 42)] + [Fraction(3, 42)] * (n - 2)
+    theory = amplitude_theory(amps)
+    report = theory.validate()
+    assert report.valid
+    assert report.null_events == (0, 0b11)
+    assert theory.level() == 2
+    assert [phi.dual_mask for phi in cv.primitives(theory)] == [1 << i for i in range(2, n)]
+    eps = Fraction(1, 100)
+    for phi in cv.primitives(theory, eps)[:20]:
+        dual = phi.dual_event()
+        assert not theory.is_negligible(dual, eps)
+        assert all(theory.is_negligible(dual + single, eps)
+                   for single in theory.space.singletons() if single.issubset(dual))
+
+    # every dual of a classical measure at n = 10: the unique assignment is
+    # the weights on the singletons
+    classical = random_classical_theory(random.Random(10), 10)
+    space = classical.space
+    system = dy.build_feasibility(
+        classical, [cv.CoEvent(space, dual_mask=m) for m in range(1, 1 << 10)])
+    result = dy.solve_feasibility(system)
+    assert result.feasible
+    for phi, x in zip(system.coevents, result.assignment):
+        expected = classical.mu_mask(phi.dual_mask) if phi.dual_mask.bit_count() == 1 else 0
+        assert x == expected
+    assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b100)) == classical.mu_mask(0b100)
+    assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b110)) == 0

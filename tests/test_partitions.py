@@ -281,6 +281,50 @@ def test_fat_structure_invariants_random():
         )
 
 
+def _pairwise_classes(duals):
+    """Classes of the transitive closure of pairwise intersection, each in
+    ascending order, ordered by least member: the direct definition."""
+    classes = []
+    for dual in duals:
+        touching = [c for c in classes if any(dual & other for other in c)]
+        merged = sorted([dual] + [m for c in touching for m in c])
+        classes = [c for c in classes if c not in touching] + [merged]
+    return sorted(classes, key=min)
+
+
+def _union(masks):
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
+
+
+def test_fat_classes_match_pairwise_chaining():
+    rng = random.Random(67)
+    uniform = HistoriesTheory.from_table(
+        SampleSpace(tuple(f"u{i}" for i in range(8))),
+        {m: Fraction(m.bit_count(), 8) for m in range(1 << 8)},
+    )
+    cases = [(uniform, HALF), (uniform, Fraction(1, 4))]
+    for _ in range(12):
+        theory = (
+            random_decoherence_theory(rng, rng.randint(2, 6))
+            if rng.random() < 0.5
+            else random_classical_theory(rng, rng.randint(2, 6))
+        )
+        cases.append((theory, rng.choice([Fraction(0), Fraction(1, 10), Fraction(1, 3)])))
+    for theory, eps in cases:
+        _, fat = pt.principle_classical_partition(theory, eps)
+        expected = _pairwise_classes(theory.minimal_nonnegligible(eps))
+        assert [[d.mask for d in c] for c in fat.classes] == expected
+        assert fat.class_sizes == tuple(len(c) for c in expected)
+        fat_masks = [_union(c) for c in expected]
+        assert [d.mask for d in fat.fat_duals] == fat_masks
+        covered = _union(fat_masks)
+        assert [d.mask for d in fat.uncovered] == [
+            1 << i for i in range(theory.space.n) if not covered >> i & 1]
+
+
 # ---------------------------------------------------------------------------
 # JSON interface
 # ---------------------------------------------------------------------------
