@@ -562,12 +562,16 @@ class HistoriesTheory:
         singletons of S is the alternating subset sum of the measure over S,
         and every higher-order term on disjoint tuples is a signed sum of
         such singleton terms.  The level is therefore the largest |S| whose
-        transform is nonzero (at least one).
+        transform is nonzero (at least one).  Interference terms read
+        nonempty events only, so mu(0) is taken as zero even where a table
+        breaks the empty-set axiom.
         """
         n = self.space.n
         _check_enum_cap(n, override_cap)
         if self.kind == "table":
-            transform = lattice.moebius(list(self._lattice()[0]), n)
+            values = list(self._lattice()[0])
+            values[0] = 0
+            transform = lattice.moebius(values, n)
         else:
             transform, _ = self._sparse_moebius()
         return max([1] + [mask.bit_count() for mask, v in enumerate(transform) if v])

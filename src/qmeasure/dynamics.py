@@ -16,12 +16,12 @@ for all events A, B, C.  The identity needs checking on disjoint triples
 only; its integer-lifted defect is always 0 or 1 for multiplicative
 co-events, and its Z2 defect is the integer defect mod 2.
 
-When the rows are the whole event algebra they are the zeta transform of the
-assignment (extended by zero off S), so the system has at most one solution:
+The rows are the whole event algebra, so they are the zeta transform of the
+assignment (extended by zero off S) and the system has at most one solution:
 the Moebius transform m of the measure.  It is feasible exactly when m
 vanishes off S and is nonnegative on S, and the signed Moebius row of the
-first event breaking that is a Farkas certificate.  Systems restricted to
-some of the rows are decided by exact rational two-phase simplex.
+first event breaking that is a Farkas certificate.  Systems on only some of
+the rows are refused: they do not carry the positive-probability conclusion.
 """
 
 from __future__ import annotations
@@ -155,17 +155,13 @@ class FeasibilitySystem:
         raise ValueError("co-event is not a column of this system")
 
 
-def build_feasibility(theory: HistoriesTheory, coevents, *, events=None,
-                      binary_only: bool = False,
+def build_feasibility(theory: HistoriesTheory, coevents, *,
                       override_cap: bool = False) -> FeasibilitySystem:
     """Build the constraint system for a set of multiplicative co-events.
 
-    By default one row per event of the full algebra, in ascending mask
-    order; the full-space row forces the probabilities to sum to one.  Two
-    weaker row selections are available: ``events`` restricts the rows to a
-    given family (e.g. the observable events), and ``binary_only`` keeps only
-    the rows whose measure is 0 or 1.  Neither weaker mode carries the
-    positive-probability conclusion of the full system.
+    One row per event of the full algebra, in ascending mask order; the
+    full-space row forces the probabilities to sum to one.  These are the
+    only systems :func:`solve_feasibility` accepts.
     """
     cos = [phi.to_multiplicative() for phi in coevents]
     if not cos:
@@ -178,132 +174,13 @@ def build_feasibility(theory: HistoriesTheory, coevents, *, events=None,
     if len(set(duals)) != len(duals):
         raise ValueError("duplicate co-events in the candidate set")
 
-    if events is None:
-        n = theory.space.n
-        _check_enum_cap(n, override_cap)
-        masks = range(1 << n)
-    else:
-        masks = sorted({e.mask for e in events})
+    n = theory.space.n
+    _check_enum_cap(n, override_cap)
     rows = []
-    for mask in masks:
-        rhs = theory.mu_mask(mask)
-        if binary_only and rhs != 0 and rhs != 1:
-            continue
+    for mask in range(1 << n):
         coeffs = tuple(1 if d & ~mask == 0 else 0 for d in duals)
-        rows.append(FeasibilityRow(mask, coeffs, rhs))
+        rows.append(FeasibilityRow(mask, coeffs, theory.mu_mask(mask)))
     return FeasibilitySystem(tuple(cos), tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Exact two-phase simplex
-# ---------------------------------------------------------------------------
-
-
-class _ExactSimplex:
-    """Primal simplex over the rationals with Bland's rule (no cycling).
-
-    Solves {A x = b, x >= 0}.  Phase one minimizes the sum of artificial
-    variables; a positive optimum yields an exact Farkas certificate.  Phase
-    two minimizes a given cost over the structural variables.
-    """
-
-    def __init__(self, rows, rhs, nvars: int):
-        self.nvars = nvars
-        self.nrows = len(rows)
-        self.flipped = []
-        tab = []
-        for row, b in zip(rows, rhs):
-            coeffs = [Fraction(x) for x in row]
-            b = Fraction(b)
-            if b < 0:
-                coeffs = [-x for x in coeffs]
-                b = -b
-                self.flipped.append(True)
-            else:
-                self.flipped.append(False)
-            tab.append(coeffs + [ZERO] * self.nrows + [b])
-        for i in range(self.nrows):
-            tab[i][nvars + i] = ONE
-        self.tab = tab
-        self.basis = [nvars + i for i in range(self.nrows)]
-        self.ncols = nvars + self.nrows
-
-    def _pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
-        tab = self.tab
-        piv = tab[r][c]
-        tab[r] = [x / piv for x in tab[r]]
-        prow = tab[r]
-        for i in range(self.nrows):
-            if i != r and tab[i][c] != 0:
-                f = tab[i][c]
-                tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
-        if obj[c] != 0:
-            f = obj[c]
-            obj[:] = [x - f * y for x, y in zip(obj, prow)]
-        self.basis[r] = c
-
-    def _reduced_costs(self, costs: list[Fraction]) -> list[Fraction]:
-        obj = list(costs) + [ZERO]
-        for i, bvar in enumerate(self.basis):
-            cb = costs[bvar]
-            if cb != 0:
-                obj = [x - cb * y for x, y in zip(obj, self.tab[i])]
-        return obj
-
-    def _minimize(self, costs: list[Fraction], allowed) -> list[Fraction]:
-        obj = self._reduced_costs(costs)
-        while True:
-            enter = next((j for j in allowed if obj[j] < 0), None)
-            if enter is None:
-                return obj
-            leave = None
-            best = None
-            for i in range(self.nrows):
-                a = self.tab[i][enter]
-                if a > 0:
-                    ratio = self.tab[i][-1] / a
-                    if (best is None or ratio < best
-                            or (ratio == best and self.basis[i] < self.basis[leave])):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                raise ArithmeticError("unbounded linear program")
-            self._pivot(leave, enter, obj)
-
-    def phase_one(self):
-        """Returns (feasible, farkas-multipliers-or-None)."""
-        costs = [ZERO] * self.nvars + [ONE] * self.nrows
-        obj = self._minimize(costs, range(self.ncols))
-        value = sum(
-            self.tab[i][-1] for i in range(self.nrows) if self.basis[i] >= self.nvars
-        )
-        if value > 0:
-            # multipliers from the final reduced costs of the artificials;
-            # flip back the rows that were negated for a nonnegative rhs
-            y = [ONE - obj[self.nvars + i] for i in range(self.nrows)]
-            y = [-v if flip else v for v, flip in zip(y, self.flipped)]
-            return False, y
-        # drive any basic artificial out (it sits at zero)
-        for i in range(self.nrows):
-            if self.basis[i] >= self.nvars:
-                enter = next(
-                    (j for j in range(self.nvars) if self.tab[i][j] != 0), None
-                )
-                if enter is not None:
-                    self._pivot(i, enter, obj)
-        return True, None
-
-    def solution(self) -> list[Fraction]:
-        x = [ZERO] * self.nvars
-        for i, bvar in enumerate(self.basis):
-            if bvar < self.nvars:
-                x[bvar] = self.tab[i][-1]
-        return x
-
-    def phase_two_min(self, costs: list[Fraction]) -> Fraction:
-        self._minimize(list(costs) + [ZERO] * self.nrows, range(self.nvars))
-        x = self.solution()
-        return sum((c * v for c, v in zip(costs, x)), ZERO)
 
 
 @dataclass(frozen=True)
@@ -332,25 +209,29 @@ def _verify_farkas(system: FeasibilitySystem, y) -> None:
     assert rhs > 0, "certificate fails on the right-hand side"
 
 
-def _is_full_algebra(system: FeasibilitySystem) -> bool:
-    """Are the rows the events of the whole algebra, in ascending mask order?"""
-    rows = system.rows
-    return (len(rows) == 1 << system.coevents[0].space.n
-            and all(row.event_mask == mask for mask, row in enumerate(rows)))
+def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
+    """Decide whether a probability assignment exists.
 
-
-def _solve_full_algebra(system: FeasibilitySystem) -> FeasibilityResult:
-    """The Moebius closed form for a full-algebra system.
+    Returns an exact witness assignment, or an infeasibility certificate:
+    either a single contradictory row (no co-event affirms the event but its
+    measure is nonzero) or exact Farkas multipliers over the rows.
 
     Row A reads sum(x_d for d contained in A) = mu(A), so the unique
     candidate is x_d = m(d) with m the Moebius transform of mu.  If m breaks
     at B (m(B) != 0 off the columns, or m(B) < 0 on one), then
     y_A = sign(m(B)) * (-1)**|B - A| for A contained in B has column sums
     -1 at a column B with m(B) < 0 and 0 at every other column, and
-    y.mu = |m(B)| > 0.
+    y.mu = |m(B)| > 0.  Systems on only some of the rows raise ValueError.
     """
     n = system.coevents[0].space.n
-    scaled, denom = lattice.over_common_denominator([row.rhs for row in system.rows])
+    rows = system.rows
+    if len(rows) != 1 << n or any(row.event_mask != mask for mask, row in enumerate(rows)):
+        raise ValueError("the rows must be every event in ascending mask order "
+                         "(as built by build_feasibility)")
+    for idx, row in enumerate(rows):
+        if not any(row.coefficients) and row.rhs != 0:
+            return FeasibilityResult(False, None, idx, None)
+    scaled, denom = lattice.over_common_denominator([row.rhs for row in rows])
     m = lattice.moebius(scaled, n)
     columns = {phi.dual_mask for phi in system.coevents}
     bad = next((b for b, v in enumerate(m) if v < 0 or (v and b not in columns)), None)
@@ -366,55 +247,18 @@ def _solve_full_algebra(system: FeasibilitySystem) -> FeasibilityResult:
     return FeasibilityResult(False, None, None, tuple(y))
 
 
-def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
-    """Decide whether a probability assignment exists.
-
-    Returns an exact witness assignment, or an infeasibility certificate:
-    either a single contradictory row (no co-event affirms the event but its
-    measure is nonzero) or exact Farkas multipliers over the rows.
-    """
-    for idx, row in enumerate(system.rows):
-        if not any(row.coefficients) and row.rhs != 0:
-            return FeasibilityResult(False, None, idx, None)
-    if _is_full_algebra(system):
-        return _solve_full_algebra(system)
-    simplex = _ExactSimplex(
-        [row.coefficients for row in system.rows],
-        [row.rhs for row in system.rows],
-        len(system.coevents),
-    )
-    feasible, farkas = simplex.phase_one()
-    if not feasible:
-        _verify_farkas(system, farkas)
-        return FeasibilityResult(False, None, None, tuple(farkas))
-    x = simplex.solution()
-    _verify_assignment(system, x)
-    return FeasibilityResult(True, tuple(x), None, None)
-
-
 def max_probability(system: FeasibilitySystem, phi: CoEvent) -> Fraction:
     """The largest probability the co-event can carry over the feasible
     region.  When the underlying measure obeys the two-site sum rule (level
     at most two), zero is forced for any co-event failing the three-event
-    identity; the converse does not hold.  Over the full algebra the
-    feasible region is the single Moebius assignment."""
+    identity; the converse does not hold.  The feasible region is the single
+    Moebius assignment, so this is that assignment's value at the co-event;
+    infeasible and partial-row systems raise ValueError."""
     j = system.index_of(phi)
-    if _is_full_algebra(system):
-        result = _solve_full_algebra(system)
-        if not result.feasible:
-            raise ValueError("system is infeasible")
-        return result.assignment[j]
-    simplex = _ExactSimplex(
-        [row.coefficients for row in system.rows],
-        [row.rhs for row in system.rows],
-        len(system.coevents),
-    )
-    feasible, _ = simplex.phase_one()
-    if not feasible:
+    result = solve_feasibility(system)
+    if not result.feasible:
         raise ValueError("system is infeasible")
-    costs = [ZERO] * len(system.coevents)
-    costs[j] = -ONE
-    return -simplex.phase_two_min(costs)
+    return result.assignment[j]
 
 
 # ---------------------------------------------------------------------------

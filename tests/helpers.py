@@ -2,7 +2,9 @@
 
 These deliberately re-derive quantities from first principles (direct
 superset scans, literal inclusion-exclusion formulas, explicit enumeration)
-so the library paths they check stay independent of them.
+so the library paths they check stay independent of them.  The LP reference
+is an exact rational two-phase simplex, independent of the Moebius closed form
+that decides feasibility in the library.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from fractions import Fraction
 
 from qmeasure.core import HistoriesTheory, SampleSpace
 from qmeasure.exact import ComplexRational
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def submasks(mask: int):
@@ -133,3 +138,110 @@ def level_oracle(theory: HistoriesTheory) -> int:
         if all_zero:
             return k
     return n
+
+
+class ExactSimplex:
+    """Primal simplex over the rationals with Bland's rule (no cycling).
+
+    Solves {A x = b, x >= 0}.  Phase one minimizes the sum of artificial
+    variables; a positive optimum yields an exact Farkas certificate.  Phase
+    two minimizes a given cost over the structural variables.
+    """
+
+    def __init__(self, rows, rhs, nvars: int):
+        self.nvars = nvars
+        self.nrows = len(rows)
+        self.flipped = []
+        tab = []
+        for row, b in zip(rows, rhs):
+            coeffs = [Fraction(x) for x in row]
+            b = Fraction(b)
+            if b < 0:
+                coeffs = [-x for x in coeffs]
+                b = -b
+                self.flipped.append(True)
+            else:
+                self.flipped.append(False)
+            tab.append(coeffs + [ZERO] * self.nrows + [b])
+        for i in range(self.nrows):
+            tab[i][nvars + i] = ONE
+        self.tab = tab
+        self.basis = [nvars + i for i in range(self.nrows)]
+        self.ncols = nvars + self.nrows
+
+    def _pivot(self, r: int, c: int, obj: list[Fraction]) -> None:
+        tab = self.tab
+        piv = tab[r][c]
+        tab[r] = [x / piv for x in tab[r]]
+        prow = tab[r]
+        for i in range(self.nrows):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [x - f * y for x, y in zip(tab[i], prow)]
+        if obj[c] != 0:
+            f = obj[c]
+            obj[:] = [x - f * y for x, y in zip(obj, prow)]
+        self.basis[r] = c
+
+    def _reduced_costs(self, costs: list[Fraction]) -> list[Fraction]:
+        obj = list(costs) + [ZERO]
+        for i, bvar in enumerate(self.basis):
+            cb = costs[bvar]
+            if cb != 0:
+                obj = [x - cb * y for x, y in zip(obj, self.tab[i])]
+        return obj
+
+    def _minimize(self, costs: list[Fraction], allowed) -> list[Fraction]:
+        obj = self._reduced_costs(costs)
+        while True:
+            enter = next((j for j in allowed if obj[j] < 0), None)
+            if enter is None:
+                return obj
+            leave = None
+            best = None
+            for i in range(self.nrows):
+                a = self.tab[i][enter]
+                if a > 0:
+                    ratio = self.tab[i][-1] / a
+                    if (best is None or ratio < best
+                            or (ratio == best and self.basis[i] < self.basis[leave])):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                raise ArithmeticError("unbounded linear program")
+            self._pivot(leave, enter, obj)
+
+    def phase_one(self):
+        """Returns (feasible, farkas-multipliers-or-None)."""
+        costs = [ZERO] * self.nvars + [ONE] * self.nrows
+        obj = self._minimize(costs, range(self.ncols))
+        value = sum(
+            self.tab[i][-1] for i in range(self.nrows) if self.basis[i] >= self.nvars
+        )
+        if value > 0:
+            # multipliers from the final reduced costs of the artificials;
+            # flip back the rows that were negated for a nonnegative rhs
+            y = [ONE - obj[self.nvars + i] for i in range(self.nrows)]
+            y = [-v if flip else v for v, flip in zip(y, self.flipped)]
+            return False, y
+        # drive any basic artificial out (it sits at zero)
+        for i in range(self.nrows):
+            if self.basis[i] >= self.nvars:
+                enter = next(
+                    (j for j in range(self.nvars) if self.tab[i][j] != 0), None
+                )
+                if enter is not None:
+                    self._pivot(i, enter, obj)
+        return True, None
+
+    def solution(self) -> list[Fraction]:
+        x = [ZERO] * self.nvars
+        for i, bvar in enumerate(self.basis):
+            if bvar < self.nvars:
+                x[bvar] = self.tab[i][-1]
+        return x
+
+    def phase_two_min(self, costs: list[Fraction]) -> Fraction:
+        self._minimize(list(costs) + [ZERO] * self.nrows, range(self.nvars))
+        x = self.solution()
+        return sum((c * v for c, v in zip(costs, x)), ZERO)

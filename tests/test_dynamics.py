@@ -164,14 +164,20 @@ def test_build_feasibility_rejects_bad_candidate_sets():
         dy.build_feasibility(theory, [h_star, h_star])
 
 
-def test_build_feasibility_row_selections():
+def test_partial_row_systems_are_refused():
+    # the observable-row system of the coin: only the full-space row
     theory = coin_theory(Fraction(1, 3))
     space = theory.space
-    candidates = [cv.dual(space.event("h")), cv.dual(space.event("t"))]
-    observable = dy.build_feasibility(theory, candidates, events=[space.omega])
-    assert [row.event_mask for row in observable.rows] == [0b11]
-    binary = dy.build_feasibility(theory, candidates, binary_only=True)
-    assert [row.event_mask for row in binary.rows] == [0b00, 0b11]
+    full = dy.build_feasibility(
+        theory, [cv.dual(space.event("h")), cv.dual(space.event("t"))]
+    )
+    observable = dy.FeasibilitySystem(full.coevents, (full.rows[0b11],))
+    reordered = dy.FeasibilitySystem(full.coevents, full.rows[::-1])
+    for system in (observable, reordered):
+        with pytest.raises(ValueError, match="every event in ascending mask order"):
+            dy.solve_feasibility(system)
+        with pytest.raises(ValueError, match="every event in ascending mask order"):
+            dy.max_probability(system, cv.dual(space.event("h")))
 
 
 def test_solve_coin_system():
@@ -321,7 +327,7 @@ def test_positive_probability_implies_quadratic_on_random_systems():
 
 
 def test_solver_agrees_with_floating_lp():
-    # independent cross-check of the exact simplex against a float LP solver;
+    # independent cross-check of the closed form against a float LP solver;
     # instances are scaled so float verdicts are unambiguous
     scipy_opt = pytest.importorskip("scipy.optimize")
     rng = random.Random(71)
