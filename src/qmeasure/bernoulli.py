@@ -2,12 +2,14 @@
 
 An n-fold repeated trial of a coin with heads probability p carries the
 product measure on the 2**n outcome sequences.  Everything here is computed
-from big-integer binomial identities with a single common denominator, never
-by enumerating the 2**n sequences: lower-tail masses, the greatest heads
-count whose tail mass stays below a threshold eps, the cardinality of the
-smallest event straddling the eps line, and the even/odd-position witness
-showing that tail co-events of one sub-experiment answer both tail
-propositions of the other with "no".
+over the single common denominator q**n (p = a/q), never by enumerating the
+2**n sequences: lower-tail masses, the greatest heads count whose tail mass
+stays below a threshold eps, the cardinality of the smallest event
+straddling the eps line, and the even/odd-position witness showing that
+tail co-events of one sub-experiment answer both tail propositions of the
+other with "no".  All of them read one exact pass over the binomial terms,
+each stepped from the last by an integer ratio; the straddle set and the
+even/odd witness take their cutoff and its tail from a single pass.
 
 A small bridge to explicit theories is included for cross-checks: for a
 modest number of tosses the full product space can be materialized as a
@@ -16,6 +18,7 @@ weights-backed histories theory whose histories are the outcome sequences.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -84,16 +87,25 @@ def prob_heads_count(model: BernoulliModel, heads: int) -> Fraction:
     return math.comb(model.n, heads) * prob_history(model, heads)
 
 
-def _tail_numerator(model: BernoulliModel, heads: int) -> int:
-    """Numerator of the lower-tail mass over the common denominator q**n,
-    where p = a/q."""
+def _tail_numerators(model: BernoulliModel):
+    """Yield the lower-tail numerators over q**n for heads = 0..n, where
+    p = a/q, in one exact pass.
+
+    The term C(n,m) * a**m * b**(n-m) (b = q - a) is stepped by the exact
+    integer ratio t(m+1) = t(m) * (n-m) * a / ((m+1) * b).
+    """
+    n = model.n
     a = model.p.numerator
-    q = model.p.denominator
-    b = q - a
-    total = 0
-    for m in range(heads + 1):
-        total += math.comb(model.n, m) * a**m * b ** (model.n - m)
-    return total
+    b = model.p.denominator - a
+    if b == 0:  # p = 1: every toss lands heads
+        yield from (int(m == n) for m in range(n + 1))
+        return
+    term = b**n
+    running = 0
+    for m in range(n + 1):
+        running += term
+        yield running
+        term = term * (n - m) * a // ((m + 1) * b)
 
 
 def cumulative(model: BernoulliModel, heads: int) -> Fraction:
@@ -103,42 +115,36 @@ def cumulative(model: BernoulliModel, heads: int) -> Fraction:
     zero term is included.
     """
     _check_heads(model, heads)
-    q = model.p.denominator
-    return Fraction(_tail_numerator(model, heads), q**model.n)
+    running = next(itertools.islice(_tail_numerators(model), heads, None))
+    return Fraction(running, model.p.denominator**model.n)
+
+
+def _cutoff_and_tail(model: BernoulliModel) -> tuple[int | None, int]:
+    """The tail cutoff and the lower-tail numerator over q**n at it (0 when
+    there is no cutoff), from one pass."""
+    # compare running / q**n < eps by integer cross-multiplication
+    bound = model.eps.numerator * model.p.denominator**model.n
+    cutoff, tail = None, 0
+    for m, running in enumerate(_tail_numerators(model)):
+        if running * model.eps.denominator >= bound:
+            break
+        cutoff, tail = m, running
+    return cutoff, tail
 
 
 def tail_cutoff(model: BernoulliModel) -> int | None:
     """The greatest heads count whose lower-tail mass is below the model's
     threshold, or None when even the count-zero tail already reaches it."""
-    a = model.p.numerator
-    q = model.p.denominator
-    b = q - a
-    # compare running_tail / q**n < eps by integer cross-multiplication
-    eps_num = model.eps.numerator
-    eps_den = model.eps.denominator
-    bound = eps_num * q**model.n
-    running = 0
-    cutoff = None
-    for m in range(model.n + 1):
-        running += math.comb(model.n, m) * a**m * b ** (model.n - m)
-        if running * eps_den < bound:
-            cutoff = m
-        else:
-            break
-    return cutoff
+    return _cutoff_and_tail(model)[0]
 
 
 def tail_rows(model: BernoulliModel):
     """Yield (heads, point mass, lower-tail mass) rows with exact values."""
-    q = model.p.denominator
-    a = model.p.numerator
-    b = q - a
-    denom = q**model.n
-    running = 0
-    for m in range(model.n + 1):
-        term = math.comb(model.n, m) * a**m * b ** (model.n - m)
-        running += term
-        yield m, Fraction(term, denom), Fraction(running, denom)
+    denom = model.p.denominator**model.n
+    previous = 0
+    for m, running in enumerate(_tail_numerators(model)):
+        yield m, Fraction(running - previous, denom), Fraction(running, denom)
+        previous = running
 
 
 def _require_fair(model: BernoulliModel, what: str) -> None:
@@ -155,11 +161,10 @@ def straddle_set_cardinality(model: BernoulliModel) -> int:
     satisfies the exact sandwich  eps <= tail + |S| * 2**-n < eps + 2**-n.
     """
     _require_fair(model, "straddle-set cardinality")
-    cutoff = tail_cutoff(model)
+    cutoff, tail = _cutoff_and_tail(model)
     if cutoff is None:
         raise ValueError("no tail cutoff exists at this threshold")
-    gap = model.eps - cumulative(model, cutoff)
-    return ceil_rational(gap * 2**model.n)
+    return ceil_rational(model.eps * 2**model.n - tail)
 
 
 def uniform_primitive_cardinality(model: BernoulliModel) -> int:
@@ -199,8 +204,9 @@ class EvenOddWitness:
 
     All counts are exact.  ``valuations`` gives the witness co-event's
     answers on the four tail events (lower/greater for even/odd); they are
-    certified whenever ``witness_supported``.  For small spaces the explicit
-    dual is materialized as ``witness_histories``.
+    certified whenever ``witness_supported``.  Up to EXPLICIT_TOSS_CAP tosses,
+    where ``explicit_theory`` can check it, the explicit dual is materialized
+    as ``witness_histories``.
     """
 
     trials: int
@@ -232,8 +238,7 @@ def even_odd_witness(model: BernoulliModel) -> EvenOddWitness:
     if model.n % 2 != 0:
         raise ValueError("even/odd analysis needs an even number of trials")
     half = model.n // 2
-    half_model = BernoulliModel(half, model.p, model.eps)
-    cutoff = tail_cutoff(half_model)
+    cutoff, half_tail = _cutoff_and_tail(BernoulliModel(half, model.p, model.eps))
     card = uniform_primitive_cardinality(model)
     gamma = alternating_history(model.n)
 
@@ -247,7 +252,7 @@ def even_odd_witness(model: BernoulliModel) -> EvenOddWitness:
         )
 
     # sequences of half-length with heads count above the cutoff
-    half_greater = sum(math.comb(half, k) for k in range(cutoff + 1, half + 1))
+    half_greater = 2**half - half_tail
     greater_count = half_greater * 2**half
     greater_exceeds = greater_count > model.eps * 2**model.n
     cross_count = half_greater * half_greater
@@ -262,27 +267,14 @@ def even_odd_witness(model: BernoulliModel) -> EvenOddWitness:
     )
 
     witness: tuple[int, ...] | None = None
-    if supported and model.n <= 2 * EXPLICIT_TOSS_CAP and card <= 1 << model.n:
+    if supported and model.n <= EXPLICIT_TOSS_CAP:
         even_mask, odd_mask = position_masks(model.n)
-        chosen = [gamma]
-        seen = {gamma}
-        # one history whose odd heads count also clears the cutoff
-        for mask in range(1 << model.n):
-            if mask in seen:
-                continue
-            if (mask & even_mask).bit_count() > cutoff and (mask & odd_mask).bit_count() > cutoff:
-                chosen.append(mask)
-                seen.add(mask)
-                break
-        for mask in range(1 << model.n):
-            if len(chosen) == card:
-                break
-            if mask in seen:
-                continue
-            if (mask & even_mask).bit_count() > cutoff:
-                chosen.append(mask)
-                seen.add(mask)
-        witness = tuple(sorted(chosen))
+        greater = [h for h in range(1 << model.n) if (h & even_mask).bit_count() > cutoff]
+        # gamma, one history whose odd heads count also clears the cutoff, and
+        # the first remaining histories of the even greater tail
+        cross = next(h for h in greater if (h & odd_mask).bit_count() > cutoff)
+        rest = (h for h in greater if h not in (gamma, cross))
+        witness = tuple(sorted([gamma, cross, *itertools.islice(rest, card - 2)]))
 
     return EvenOddWitness(
         trials=model.n, half=half, eps=model.eps, cutoff=cutoff,

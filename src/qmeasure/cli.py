@@ -4,6 +4,7 @@ reproduce the named worked numbers."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -229,10 +230,14 @@ def _cmd_coin(args) -> int:
         lines = [f"{key} = {value}" for key, value in payload.items()]
         _emit(args, lines, payload)
         return 0
-    # tail: CSV of (heads count, point mass, lower-tail mass)
-    print("H,P_N,P_L")
-    for heads, point, tail in be.tail_rows(model):
-        print(f"{heads},{format_rational(point)},{format_rational(tail)}")
+    # tail: one (heads count, point mass, lower-tail mass) row per count; the
+    # CSV streams, so a large n never holds every row's text at once
+    rows = ((heads, format_rational(point), format_rational(tail))
+            for heads, point, tail in be.tail_rows(model))
+    if args.format == "json":
+        _emit(args, (), [{"heads": h, "point": pt, "tail": t} for h, pt, t in rows])
+    else:
+        _emit(args, itertools.chain(["H,P_N,P_L"], (f"{h},{pt},{t}" for h, pt, t in rows)), None)
     return 0
 
 

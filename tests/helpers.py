@@ -4,11 +4,14 @@ These deliberately re-derive quantities from first principles (direct
 superset scans, literal inclusion-exclusion formulas, explicit enumeration)
 so the library paths they check stay independent of them.  The LP reference
 is an exact rational two-phase simplex, independent of the Moebius closed form
-that decides feasibility in the library.
+that decides feasibility in the library.  The binomial tail reference sums
+every term from math.comb, independent of the term recurrence in the library.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from qmeasure.core import HistoriesTheory, SampleSpace
@@ -138,6 +141,22 @@ def level_oracle(theory: HistoriesTheory) -> int:
         if all_zero:
             return k
     return n
+
+
+def direct_tail_numerators(n: int, p: Fraction) -> list[int]:
+    """Lower-tail numerators over q**n (p = a/q) for heads = 0..n: running
+    sums of C(n,m) * a**m * b**(n-m), each term built directly, b = q - a."""
+    a, q = p.numerator, p.denominator
+    b = q - a
+    return list(itertools.accumulate(
+        math.comb(n, m) * a**m * b ** (n - m) for m in range(n + 1)))
+
+
+def direct_tail_cutoff(n: int, p: Fraction, eps: Fraction) -> tuple[int | None, int]:
+    """The greatest heads count whose direct lower tail is below eps, with the
+    tail numerator there; None and 0 when no count qualifies."""
+    below = [t for t in direct_tail_numerators(n, p) if Fraction(t, p.denominator**n) < eps]
+    return (len(below) - 1, below[-1]) if below else (None, 0)
 
 
 class ExactSimplex:

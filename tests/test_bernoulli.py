@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure import bernoulli as be
 from qmeasure import coevents as cv
 from qmeasure.core import SizeCapError
 
-from helpers import submasks
+from helpers import direct_tail_cutoff, direct_tail_numerators
 
 HALF = Fraction(1, 2)
 MILLI = Fraction(1, 1000)
@@ -120,6 +122,78 @@ def test_tail_rows():
 
 
 # ---------------------------------------------------------------------------
+# The one tail pass against direct binomial sums
+# ---------------------------------------------------------------------------
+
+
+def _direct_rows(n, p):
+    denom = p.denominator**n
+    tails = direct_tail_numerators(n, p)
+    return [(m, Fraction(t - prev, denom), Fraction(t, denom))
+            for m, (prev, t) in enumerate(zip([0] + tails, tails))]
+
+
+def _direct_half_greater(half, cutoff):
+    return sum(math.comb(half, k) for k in range(cutoff + 1, half + 1))
+
+
+@st.composite
+def coin_models(draw):
+    q = draw(st.integers(1, 12))
+    eps_den = draw(st.sampled_from((2, 100, 1000, 10**6)))
+    return be.BernoulliModel(
+        draw(st.integers(1, 60)),
+        Fraction(draw(st.integers(0, q)), q),  # p = 0 and p = 1 included
+        Fraction(draw(st.integers(1, eps_den)), eps_den),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(coin_models())
+def test_one_pass_matches_direct_sums(model):
+    n, p, eps = model.n, model.p, model.eps
+    rows = _direct_rows(n, p)
+    assert [be.cumulative(model, m) for m in range(n + 1)] == [row[2] for row in rows]
+    assert list(be.tail_rows(model)) == rows
+    assert be.tail_cutoff(model) == direct_tail_cutoff(n, p, eps)[0]
+
+    fair_model = be.BernoulliModel(n, HALF, eps)
+    cutoff, tail = direct_tail_cutoff(n, HALF, eps)
+    if cutoff is None:
+        with pytest.raises(ValueError):
+            be.straddle_set_cardinality(fair_model)
+    else:
+        assert be.straddle_set_cardinality(fair_model) == math.ceil(eps * 2**n - tail)
+
+    # n tosses are the half length of the even/odd analysis
+    witness = be.even_odd_witness(be.BernoulliModel(2 * n, HALF, eps))
+    assert witness.cutoff == cutoff
+    if cutoff is None:
+        assert witness.greater_count is None and witness.cross_count is None
+    else:
+        half_greater = _direct_half_greater(n, cutoff)
+        assert witness.greater_count == half_greater * 2**n
+        assert witness.cross_count == half_greater**2
+
+
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 3)])
+def test_one_pass_matches_direct_sums_at_2000_tosses(p):
+    n = 2000
+    assert list(be.tail_rows(be.BernoulliModel(n, p, MILLI))) == _direct_rows(n, p)
+    for eps in (MILLI, Fraction(1, 100), HALF):
+        model = be.BernoulliModel(n, p, eps)
+        cutoff, tail = direct_tail_cutoff(n, p, eps)
+        assert be.tail_cutoff(model) == cutoff
+        assert be.cumulative(model, cutoff) == Fraction(tail, p.denominator**n)
+        if p == HALF:
+            assert be.straddle_set_cardinality(model) == math.ceil(eps * 2**n - tail)
+            witness = be.even_odd_witness(be.BernoulliModel(2 * n, p, eps))
+            half_greater = _direct_half_greater(n, cutoff)
+            assert (witness.cutoff, witness.greater_count, witness.cross_count) == (
+                cutoff, half_greater * 2**n, half_greater**2)
+
+
+# ---------------------------------------------------------------------------
 # Straddle sets and uniform primitive cardinality
 # ---------------------------------------------------------------------------
 
@@ -188,6 +262,22 @@ def test_even_odd_witness_small_supported():
     assert len(witness.witness_histories) == 20
     assert witness.alternating == 0b10101010
     assert witness.alternating in witness.witness_histories
+
+
+def test_even_odd_witness_materialized_up_to_the_explicit_cap():
+    eps = Fraction(5, 64)
+    witness = be.even_odd_witness(be.BernoulliModel(12, HALF, eps))
+    assert witness.witness_supported and witness.cutoff == 0
+    assert len(witness.witness_histories) == witness.primitive_cardinality == 320
+    assert witness.alternating in witness.witness_histories
+    even_mask, odd_mask = be.position_masks(12)
+    assert all((h & even_mask).bit_count() > 0 for h in witness.witness_histories)
+    assert any((h & odd_mask).bit_count() > 0 for h in witness.witness_histories)
+
+    beyond = be.even_odd_witness(be.BernoulliModel(14, HALF, eps))
+    assert beyond.witness_supported and beyond.cutoff == 1
+    assert beyond.primitive_cardinality == 1280
+    assert beyond.witness_histories is None
 
 
 def test_even_odd_witness_no_cutoff_reports_cardinality():

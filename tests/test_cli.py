@@ -167,6 +167,18 @@ def test_coin_tail_csv(capsys):
     assert lines[-1] == "4,1/16,1"
 
 
+def test_coin_tail_json(capsys):
+    code, out, _ = run(
+        capsys, "coin", "tail", "--n", "4", "--p", "1/2", "--eps", "1/1000", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 5
+    assert rows[0] == {"heads": 0, "point": "1/16", "tail": "1/16"}
+    assert rows[2] == {"heads": 2, "point": "3/8", "tail": "11/16"}
+    assert rows[-1] == {"heads": 4, "point": "1/16", "tail": "1"}
+
+
 def test_coin_even_odd(capsys):
     code, out, _ = run(
         capsys, "coin", "even-odd", "--n", "8", "--p", "1/2", "--eps", "5/64",
