@@ -17,6 +17,7 @@ from itertools import combinations
 from . import bernoulli as be
 from . import coevents as cv
 from . import dynamics as dy
+from . import lattice
 from . import partitions as pt
 from .core import HistoriesTheory, SampleSpace
 from .exact import ComplexRational
@@ -553,8 +554,8 @@ def _defect_identities_ok() -> tuple[bool, str]:
         )
         zero_on_disjoint = True
         for a in range(size):
-            for b in dy._ascending_submasks(full ^ a):
-                for c in dy._ascending_submasks(full ^ a ^ b):
+            for b in lattice.submasks(full ^ a):
+                for c in lattice.submasks(full ^ a ^ b):
                     q = (val(a | b | c) + val(a | b) + val(b | c) + val(c | a)
                          + val(a) + val(b) + val(c)) % 2
                     r = (val(a | b | c) - val(a | b) - val(b | c) - val(c | a)
@@ -572,22 +573,13 @@ def _defect_identities_ok() -> tuple[bool, str]:
         for dual_mask in range(1, 1 << n):
             phi = cv.CoEvent(space, dual_mask=dual_mask)
             for a in range(1 << n):
-                for b in dy._ascending_submasks(full ^ a):
-                    for c in dy._ascending_submasks(full ^ a ^ b):
-                        r = dy.real_defect(
-                            phi,
-                            space.event_from_mask(a),
-                            space.event_from_mask(b),
-                            space.event_from_mask(c),
-                        )
+                for b in lattice.submasks(full ^ a):
+                    for c in lattice.submasks(full ^ a ^ b):
+                        triple = [space.event_from_mask(m) for m in (a, b, c)]
+                        r = dy.real_defect(phi, *triple)
                         if r not in (0, 1):
                             return False, "integer defect outside {0,1} for a multiplicative co-event"
-                        if r == 0 and dy.quadratic_defect(
-                            phi,
-                            space.event_from_mask(a),
-                            space.event_from_mask(b),
-                            space.event_from_mask(c),
-                        ) != 0:
+                        if r == 0 and dy.quadratic_defect(phi, *triple) != 0:
                             return False, "zero integer defect with nonzero Z2 defect"
     return True, "defect identities exhaustively verified (128 tables at n=3; duals to n=5)"
 
@@ -682,8 +674,8 @@ def check_interference_hierarchy() -> CheckResult:
             table = theory.full_table()
             full = (1 << n) - 1
             for a in range(1 << n):
-                for b in dy._ascending_submasks(full ^ a):
-                    for c in dy._ascending_submasks(full ^ a ^ b):
+                for b in lattice.submasks(full ^ a):
+                    for c in lattice.submasks(full ^ a ^ b):
                         i3 = (
                             table[a | b | c]
                             - table[a | b] - table[b | c] - table[c | a]

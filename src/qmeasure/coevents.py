@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .core import Event, HistoriesTheory, SampleSpace, format_mask, parse_mask
 from .exact import parse_rational
@@ -105,18 +107,13 @@ class CoEvent:
 
         Multiplicative-form co-events do by construction.  A table co-event
         is multiplicative exactly when its true set is the filter of
-        supersets of the intersection of its members.
+        supersets of the intersection of its members; it lies in that
+        filter, so it is the filter exactly when the sizes agree.
         """
         if self.dual_mask is not None:
             return True
-        meet = (1 << self.space.n) - 1
-        for mask in self.true_masks:
-            meet &= mask
-        if meet == 0:
-            return False
-        if len(self.true_masks) != 1 << (self.space.n - meet.bit_count()):
-            return False
-        return all(meet & ~mask == 0 for mask in self.true_masks)
+        meet = reduce(and_, self.true_masks)
+        return len(self.true_masks) == 1 << (self.space.n - meet.bit_count())
 
     def to_multiplicative(self) -> "CoEvent":
         """Convert a multiplicative table co-event to dual form."""
@@ -124,10 +121,7 @@ class CoEvent:
             return self
         if not self.is_multiplicative():
             raise ValueError("co-event is not multiplicative")
-        meet = (1 << self.space.n) - 1
-        for mask in self.true_masks:
-            meet &= mask
-        return CoEvent(self.space, dual_mask=meet)
+        return CoEvent(self.space, dual_mask=reduce(and_, self.true_masks))
 
     def __repr__(self) -> str:
         if self.dual_mask is not None:
@@ -264,8 +258,8 @@ def coevent_from_json(space: SampleSpace, doc: dict) -> CoEvent:
             raise ValueError("'table' must be an object of mask -> bit")
         true_masks = set()
         for key, bit in table.items():
-            if bit not in (0, 1):
-                raise ValueError("table bits must be 0 or 1")
+            if type(bit) is not int or bit not in (0, 1):
+                raise ValueError(f"table bits must be the integers 0 or 1, got {bit!r}")
             if bit == 1:
                 true_masks.add(parse_mask(key))
         return CoEvent.from_table(space, true_masks)

@@ -34,6 +34,7 @@ is one zeta transform; ``Fraction`` appears only where values leave.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -740,6 +741,9 @@ def theory_from_json(doc: dict) -> HistoriesTheory:
         if not isinstance(raw, dict):
             raise ValueError("table measure needs a 'values' object")
         values = {parse_mask(key): parse_rational(v) for key, v in raw.items()}
+        if len(values) < len(raw):
+            twice = Counter(map(parse_mask, raw)).most_common(1)[0][0]
+            raise ValueError(f"table lists event {format_mask(twice)} more than once")
         return HistoriesTheory(space, TableMeasure(space.n, values))
     if mtype == "decoherence":
         raw = measure.get("matrix")

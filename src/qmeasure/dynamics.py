@@ -12,9 +12,12 @@ assignment must satisfy the three-event symmetric-difference identity
 
     phi(A+B+C) = phi(A+B) + phi(B+C) + phi(C+A) + phi(A) + phi(B) + phi(C)
 
-for all events A, B, C.  The identity needs checking on disjoint triples
-only; its integer-lifted defect is always 0 or 1 for multiplicative
-co-events, and its Z2 defect is the integer defect mod 2.
+for all events A, B, C: a third-order finite difference, so it holds exactly
+when phi's algebraic normal form has degree at most two.  The first failing
+disjoint triple is then ({i}, {j}, C), i and j the lowest histories of a
+member of degree three or more (see ``is_quadratic``).  On a disjoint triple
+the integer-lifted defect is 0 or 1 for multiplicative co-events, and the Z2
+defect is the integer defect mod 2.
 
 The rows are the whole event algebra, so they are the zeta transform of the
 assignment (extended by zero off S) and the system has at most one solution:
@@ -42,11 +45,14 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 
-def _check_disjoint_triple(a: Event, b: Event, c: Event) -> None:
+def _checked_values(phi: CoEvent, a: Event, b: Event, c: Event) -> tuple[int, ...]:
     if a.space != b.space or a.space != c.space:
         raise ValueError("events belong to different sample spaces")
     if a.mask & b.mask or b.mask & c.mask or a.mask & c.mask:
         raise ValueError("the three events must be pairwise disjoint")
+    if phi.space != a.space:
+        raise ValueError("co-event over a different sample space")
+    return _seven_values(phi, a.mask, b.mask, c.mask)
 
 
 def _seven_values(phi: CoEvent, a: int, b: int, c: int) -> tuple[int, ...]:
@@ -60,10 +66,7 @@ def quadratic_defect(phi: CoEvent, a: Event, b: Event, c: Event) -> int:
     Zero for every triple exactly when the co-event satisfies the identity on
     arbitrary (not necessarily disjoint) triples.
     """
-    _check_disjoint_triple(a, b, c)
-    if phi.space != a.space:
-        raise ValueError("co-event over a different sample space")
-    return sum(_seven_values(phi, a.mask, b.mask, c.mask)) % 2
+    return sum(_checked_values(phi, a, b, c)) % 2
 
 
 def real_defect(phi: CoEvent, a: Event, b: Event, c: Event) -> int:
@@ -74,10 +77,7 @@ def real_defect(phi: CoEvent, a: Event, b: Event, c: Event) -> int:
     co-events can produce other integers.  Reducing mod 2 recovers the Z2
     defect.
     """
-    _check_disjoint_triple(a, b, c)
-    if phi.space != a.space:
-        raise ValueError("co-event over a different sample space")
-    top, ab, bc, ca, va, vb, vc = _seven_values(phi, a.mask, b.mask, c.mask)
+    top, ab, bc, ca, va, vb, vc = _checked_values(phi, a, b, c)
     return top - ab - bc - ca + va + vb + vc
 
 
@@ -91,40 +91,32 @@ class QuadraticReport:
             raise ValueError("witness present exactly when the identity fails")
 
 
-def _ascending_submasks(mask: int):
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def is_quadratic(phi: CoEvent, override_cap: bool = False) -> QuadraticReport:
-    """Scan all disjoint triples for a failure of the three-event identity.
-
-    Triples with an empty component never fail, so the scan is equivalent to
-    the unrestricted identity.  The witness is the first failure in
-    ascending (A, B, C) mask order.
+    """Decide the identity from phi's algebraic normal form f (the Z2 Moebius
+    transform of its table, or {dual}).  The Z2 defect of a disjoint triple
+    (A, B, C) is the parity of the members of f inside A+B+C meeting all
+    three, so phi is quadratic exactly when f has no member of three or more
+    histories.  The witness is then the first failing triple in ascending
+    (A, B, C) mask order: A = {i} for the lowest history i of such a member,
+    B = {j} for the lowest other history j of one containing i, and C the
+    first submask of the rest with odd defect, found by a direct scan.
     """
     n = phi.space.n
     _check_enum_cap(n, override_cap)
-    full = (1 << n) - 1
-    v = phi.value_mask
-    for a in range(1 << n):
-        for b in _ascending_submasks(full ^ a):
-            rest = full ^ a ^ b
-            for c in _ascending_submasks(rest):
-                total = (
-                    v(a | b | c) + v(a | b) + v(b | c) + v(c | a)
-                    + v(a) + v(b) + v(c)
-                )
-                if total % 2:
-                    space = phi.space
-                    return QuadraticReport(False, (
-                        Event(space, a), Event(space, b), Event(space, c)
-                    ))
-    return QuadraticReport(True, None)
+    if phi.dual_mask is not None:
+        form = [phi.dual_mask]
+    else:
+        table = lattice.family_of(m in phi.true_masks for m in range(1 << n))
+        form = lattice.members(lattice.z2_moebius(table, n))
+    high = [t for t in form if t.bit_count() >= 3]
+    if not high:
+        return QuadraticReport(True, None)
+    a = min(t & -t for t in high)
+    b = min((t ^ a) & -(t ^ a) for t in high if t & a)
+    rest = lattice.submasks(((1 << n) - 1) ^ a ^ b)
+    c = next((c for c in rest if sum(_seven_values(phi, a, b, c)) % 2), None)
+    assert c is not None, "a member of degree three or more has a failing triple"
+    return QuadraticReport(False, tuple(Event(phi.space, mask) for mask in (a, b, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +233,7 @@ def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
         return FeasibilityResult(True, x, None, None)
     sign = ONE if m[bad] > 0 else -ONE
     y = [ZERO] * len(m)
-    for a in _ascending_submasks(bad):
+    for a in lattice.submasks(bad):
         y[a] = -sign if (bad ^ a).bit_count() % 2 else sign
     _verify_farkas(system, y)
     return FeasibilityResult(False, None, None, tuple(y))

@@ -89,6 +89,24 @@ def minimal(family: int, n: int) -> int:
     return out
 
 
+def z2_moebius(family: int, n: int) -> int:
+    """The Z2 Moebius transform, its own inverse: member ``A`` of the result
+    is the parity of the members contained in ``A``."""
+    for i in range(n):
+        family ^= (family & _without(i, n)) << (1 << i)
+    return family
+
+
+def submasks(mask: int):
+    """The events contained in ``mask``, in ascending mask order."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
 def family_of(flags) -> int:
     """The family whose member ``A`` is marked by the truth of ``flags[A]``,
     for an iterable of truth values in ascending mask order."""

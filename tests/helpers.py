@@ -6,6 +6,8 @@ so the library paths they check stay independent of them.  The LP reference
 is an exact rational two-phase simplex, independent of the Moebius closed form
 that decides feasibility in the library.  The binomial tail reference sums
 every term from math.comb, independent of the term recurrence in the library.
+The quadratic reference scans every disjoint triple, independent of the
+algebraic normal form that decides the identity in the library.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from qmeasure.core import HistoriesTheory, SampleSpace
+from qmeasure.coevents import CoEvent
+from qmeasure.core import Event, HistoriesTheory, SampleSpace
+from qmeasure.dynamics import QuadraticReport
 from qmeasure.exact import ComplexRational
 
 ZERO = Fraction(0)
@@ -29,6 +33,32 @@ def submasks(mask: int):
         if sub == mask:
             return
         sub = (sub - mask) & mask
+
+
+def quadratic_scan(phi: CoEvent) -> QuadraticReport:
+    """Scan all disjoint triples for a failure of the three-event identity.
+
+    Triples with an empty component never fail, so the scan is equivalent to
+    the unrestricted identity.  The witness is the first failure in
+    ascending (A, B, C) mask order.
+    """
+    n = phi.space.n
+    full = (1 << n) - 1
+    v = phi.value_mask
+    for a in range(1 << n):
+        for b in submasks(full ^ a):
+            rest = full ^ a ^ b
+            for c in submasks(rest):
+                total = (
+                    v(a | b | c) + v(a | b) + v(b | c) + v(c | a)
+                    + v(a) + v(b) + v(c)
+                )
+                if total % 2:
+                    space = phi.space
+                    return QuadraticReport(False, (
+                        Event(space, a), Event(space, b), Event(space, c)
+                    ))
+    return QuadraticReport(True, None)
 
 
 def amplitude_theory(amplitudes) -> HistoriesTheory:

@@ -287,5 +287,7 @@ def test_coevent_json_round_trip():
     assert cv.coevent_from_json(space, doc2) == table
     with pytest.raises(ValueError):
         cv.coevent_from_json(space, {"neither": 1})
-    with pytest.raises(ValueError):
-        cv.coevent_from_json(space, {"table": {"0x1": 2}})
+    # JSON true and 1.0 are not the integer 1
+    for bit in (2, True, 1.0):
+        with pytest.raises(ValueError):
+            cv.coevent_from_json(space, {"table": {"0x1": bit}})

@@ -457,6 +457,12 @@ def test_theory_json_round_trip_decoherence():
     assert json.loads(json.dumps(doc)) == doc
 
 
+def test_theory_json_rejects_two_spellings_of_one_event():
+    values = {"0x0": "0", "0x1": "1/2", "0x2": "1/2", "0x3": "1", "0x03": "0"}
+    with pytest.raises(ValueError, match="0x3"):
+        theory_from_json({"histories": ["a", "b"], "measure": {"type": "table", "values": values}})
+
+
 def test_theory_json_rejects_malformed():
     with pytest.raises(ValueError):
         theory_from_json([])

@@ -8,7 +8,7 @@ from qmeasure import dynamics as dy
 from qmeasure.checks import coin_theory, three_path_theory
 from qmeasure.core import HistoriesTheory, SampleSpace
 
-from helpers import submasks
+from helpers import quadratic_scan, submasks
 
 ZERO = Fraction(0)
 
@@ -109,6 +109,7 @@ def test_disjoint_restriction_equivalent_to_full_identity():
         assert disjoint_ok == everywhere_ok
         phi = cv.CoEvent.from_table(space, {m for m in range(1, 8) if val(m)})
         assert dy.is_quadratic(phi).quadratic == disjoint_ok
+        assert dy.is_quadratic(phi) == quadratic_scan(phi)
 
 
 def test_is_quadratic_reports():

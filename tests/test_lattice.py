@@ -13,7 +13,7 @@ from qmeasure import coevents as cv
 from qmeasure import dynamics as dy
 from qmeasure import lattice
 from qmeasure.checks import random_classical_theory
-from qmeasure.core import HistoriesTheory, SampleSpace
+from qmeasure.core import ENUM_CAP, HistoriesTheory, SampleSpace, SizeCapError
 from qmeasure.exact import CZERO, ComplexRational
 
 from helpers import (
@@ -23,6 +23,7 @@ from helpers import (
     brute_minimal_nonnegligible,
     brute_negligible,
     level_oracle,
+    quadratic_scan,
     submasks,
 )
 
@@ -85,6 +86,22 @@ def test_down_closure_and_minimal_members(case):
         assert bool(low >> mask & 1) == (member[mask] and not any(member[c] for c in children))
     assert lattice.members(family) == [m for m in range(1 << n) if member[m]]
     assert lattice.family_of(member) == family
+
+
+@SMALL
+@given(families())
+def test_z2_moebius_is_subset_parity_and_an_involution(case):
+    n, family = case
+    form = lattice.z2_moebius(family, n)
+    for mask in range(1 << n):
+        assert form >> mask & 1 == sum(family >> b & 1 for b in submasks(mask)) % 2
+    assert lattice.z2_moebius(form, n) == family
+
+
+@SMALL
+@given(st.integers(0, (1 << 7) - 1))
+def test_submasks_ascending(mask):
+    assert list(lattice.submasks(mask)) == [s for s in range(mask + 1) if s & ~mask == 0]
 
 
 @SMALL
@@ -204,6 +221,52 @@ def test_non_real_block_sums_name_the_first_event(entries, first):
 
 
 # ---------------------------------------------------------------------------
+# The quadratic identity against the disjoint-triple scan
+# ---------------------------------------------------------------------------
+
+
+def _anf_table(space, monomials):
+    """The table co-event whose value on S is the parity of the monomials
+    contained in S."""
+    return cv.CoEvent.from_table(space, {
+        s for s in range(1 << space.n) if sum(m & ~s == 0 for m in monomials) % 2})
+
+
+@st.composite
+def small_coevents(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    space = _space(n)
+    top = (1 << n) - 1
+    kind = draw(st.sampled_from(["dual", "table", "anf"]))
+    if kind == "dual":
+        return cv.CoEvent(space, dual_mask=draw(st.integers(1, top)))
+    if kind == "table":
+        bits = draw(st.integers(1, (1 << top) - 1))
+        return cv.CoEvent.from_table(space, {m for m in range(1, top + 1) if bits >> (m - 1) & 1})
+    # few monomials: both verdicts, and witnesses whose C spans several histories
+    return _anf_table(space, draw(st.sets(st.integers(1, top), min_size=1, max_size=4)))
+
+
+def _report_masks(report):
+    return report.quadratic, [e.mask for e in report.witness or ()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_coevents())
+@example(cv.CoEvent(_space(6), dual_mask=0b111111))
+def test_is_quadratic_matches_the_triple_scan(phi):
+    assert _report_masks(dy.is_quadratic(phi)) == _report_masks(quadratic_scan(phi))
+
+
+def test_quadratic_witness_can_span_several_histories():
+    # f = x0 x1 x3 x4 + x0 x2: A = {h0}, B = {h1}, and the first odd defect
+    # with them is at C = {h3, h4}
+    space = _space(5)
+    for phi in (_anf_table(space, {0b11011, 0b00101}), cv.CoEvent(space, dual_mask=0b11011)):
+        assert _report_masks(dy.is_quadratic(phi)) == (False, [0b1, 0b10, 0b11000])
+
+
+# ---------------------------------------------------------------------------
 # Full-algebra feasibility against the simplex
 # ---------------------------------------------------------------------------
 
@@ -309,3 +372,16 @@ def test_operations_finish_at_the_cap():
         assert x == expected
     assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b100)) == classical.mu_mask(0b100)
     assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b110)) == 0
+
+
+def test_is_quadratic_finishes_at_the_cap():
+    space = _space(ENUM_CAP)
+    quadratic = _anf_table(space, {0b11, 0b100, 0b1000100000})
+    assert _report_masks(dy.is_quadratic(quadratic)) == (True, [])
+    full = cv.dual(space.omega)
+    assert _report_masks(dy.is_quadratic(full)) == (False, [0b1, 0b10, (1 << ENUM_CAP) - 4])
+    above = cv.dual(_space(ENUM_CAP + 1).omega)
+    with pytest.raises(SizeCapError):
+        dy.is_quadratic(above)
+    assert _report_masks(dy.is_quadratic(above, override_cap=True)) == (
+        False, [0b1, 0b10, (1 << (ENUM_CAP + 1)) - 4])
