@@ -248,21 +248,14 @@ def _cmd_feasibility(args) -> int:
     candidates = [cv.CoEvent.from_dual(event) for event in duals]
     system = dy.build_feasibility(theory, candidates, override_cap=args.override_cap)
     if args.action == "build":
-        lines = []
-        for row in system.rows:
-            coeffs = "".join(str(c) for c in row.coefficients)
-            lines.append(f"{format_mask(row.event_mask)}: [{coeffs}] = {format_rational(row.rhs)}")
+        # the text streams: only the JSON payload draws every row at once
+        rows = ((format_mask(mask), *system.row(mask)) for mask in system.rows)
+        lines = (f"{e}: [{''.join(map(str, c))}] = {format_rational(b)}" for e, c, b in rows)
         payload = {
             "coevents": [cv.coevent_to_json(phi) for phi in system.coevents],
-            "rows": [
-                {
-                    "event": format_mask(row.event_mask),
-                    "coefficients": list(row.coefficients),
-                    "rhs": format_rational(row.rhs),
-                }
-                for row in system.rows
-            ],
-        }
+            "rows": [{"event": e, "coefficients": list(c), "rhs": format_rational(b)}
+                     for e, c, b in rows],
+        } if args.format == "json" else None
         _emit(args, lines, payload)
         return 0
     if args.action == "solve":

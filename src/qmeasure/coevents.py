@@ -256,11 +256,13 @@ def coevent_from_json(space: SampleSpace, doc: dict) -> CoEvent:
         table = doc["table"]
         if not isinstance(table, dict):
             raise ValueError("'table' must be an object of mask -> bit")
-        true_masks = set()
+        bits: dict[int, int] = {}
         for key, bit in table.items():
             if type(bit) is not int or bit not in (0, 1):
                 raise ValueError(f"table bits must be the integers 0 or 1, got {bit!r}")
-            if bit == 1:
-                true_masks.add(parse_mask(key))
-        return CoEvent.from_table(space, true_masks)
+            mask = parse_mask(key)
+            if mask in bits:
+                raise ValueError(f"table lists event {format_mask(mask)} more than once")
+            bits[mask] = bit
+        return CoEvent.from_table(space, (mask for mask, bit in bits.items() if bit))
     raise ValueError("co-event document needs a 'dual' or 'table' field")

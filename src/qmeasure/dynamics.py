@@ -22,9 +22,13 @@ defect is the integer defect mod 2.
 The rows are the whole event algebra, so they are the zeta transform of the
 assignment (extended by zero off S) and the system has at most one solution:
 the Moebius transform m of the measure.  It is feasible exactly when m
-vanishes off S and is nonnegative on S, and the signed Moebius row of the
-first event breaking that is a Farkas certificate.  Systems on only some of
-the rows are refused: they do not carry the positive-probability conclusion.
+vanishes off S and is nonnegative on S, that is, when mu is a Dempster-Shafer
+belief function whose focal elements are duals of S (Shafer, 1976), and the
+signed Moebius row of the first event breaking that is a Farkas certificate.
+No row is stored: with mu as integers t over one denominator L, each check is
+one ``lattice.zeta`` pass, of the duals' 0/1 indicator (contradictory rows),
+of L times the assignment on the duals (it must give t), and of the reversed
+Farkas multipliers (read reversed, the column sums over supersets).
 """
 
 from __future__ import annotations
@@ -125,26 +129,24 @@ def is_quadratic(phi: CoEvent, override_cap: bool = False) -> QuadraticReport:
 
 
 @dataclass(frozen=True)
-class FeasibilityRow:
-    event_mask: int
-    coefficients: tuple[int, ...]  # 1 where the co-event affirms the event
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
 class FeasibilitySystem:
-    """One equality row per event: the probabilities of the co-events
-    affirming the event must sum to its measure; probabilities nonnegative."""
+    """One row per event, in ascending mask order and none stored: the
+    nonnegative probabilities of the co-events affirming it sum to its measure."""
 
-    coevents: tuple[CoEvent, ...]
-    rows: tuple[FeasibilityRow, ...]
+    theory: HistoriesTheory
+    coevents: tuple[CoEvent, ...]  # multiplicative, in ascending dual order
 
-    def index_of(self, phi: CoEvent) -> int:
-        target = phi.to_multiplicative().dual_mask
-        for i, psi in enumerate(self.coevents):
-            if psi.dual_mask == target:
-                return i
-        raise ValueError("co-event is not a column of this system")
+    @property
+    def rows(self) -> range:
+        """The row event masks: every event, ascending."""
+        return range(1 << self.theory.space.n)
+
+    def row(self, mask: int) -> tuple[tuple[int, ...], Fraction]:
+        """An event's row: 1 for each co-event affirming it, and its measure."""
+        if mask not in self.rows:
+            raise ValueError(f"no row for event mask {mask!r}")
+        coeffs = tuple(1 if phi.dual_mask & ~mask == 0 else 0 for phi in self.coevents)
+        return coeffs, self.theory.mu_mask(mask)
 
 
 def build_feasibility(theory: HistoriesTheory, coevents, *,
@@ -152,8 +154,7 @@ def build_feasibility(theory: HistoriesTheory, coevents, *,
     """Build the constraint system for a set of multiplicative co-events.
 
     One row per event of the full algebra, in ascending mask order; the
-    full-space row forces the probabilities to sum to one.  These are the
-    only systems :func:`solve_feasibility` accepts.
+    full-space row forces the probabilities to sum to one.
     """
     cos = [phi.to_multiplicative() for phi in coevents]
     if not cos:
@@ -162,17 +163,11 @@ def build_feasibility(theory: HistoriesTheory, coevents, *,
         if phi.space != theory.space:
             raise ValueError("co-event over a different sample space")
     cos.sort(key=lambda phi: phi.dual_mask)
-    duals = [phi.dual_mask for phi in cos]
-    if len(set(duals)) != len(duals):
+    if len({phi.dual_mask for phi in cos}) != len(cos):
         raise ValueError("duplicate co-events in the candidate set")
-
-    n = theory.space.n
-    _check_enum_cap(n, override_cap)
-    rows = []
-    for mask in range(1 << n):
-        coeffs = tuple(1 if d & ~mask == 0 else 0 for d in duals)
-        rows.append(FeasibilityRow(mask, coeffs, theory.mu_mask(mask)))
-    return FeasibilitySystem(tuple(cos), tuple(rows))
+    _check_enum_cap(theory.space.n, override_cap)
+    theory._lattice(override_cap)  # every right-hand side, built once
+    return FeasibilitySystem(theory, tuple(cos))
 
 
 @dataclass(frozen=True)
@@ -183,22 +178,32 @@ class FeasibilityResult:
     farkas: tuple[Fraction, ...] | None  # row multipliers certifying infeasibility
 
 
+def _on_duals(system: FeasibilitySystem, values) -> list[int]:
+    """A function on the events: ``values`` on the duals, zero elsewhere."""
+    out = [0] * len(system.rows)
+    for phi, v in zip(system.coevents, values):
+        out[phi.dual_mask] = v
+    return out
+
+
 def _verify_assignment(system: FeasibilitySystem, x) -> None:
-    for row in system.rows:
-        total = sum((xi for xi, c in zip(x, row.coefficients) if c), ZERO)
-        assert total == row.rhs, "assignment violates an equality row"
-    assert all(xi >= 0 for xi in x), "assignment violates nonnegativity"
+    t, denom = system.theory._lattice()
+    # the rows force x * L to be the integer Moebius transform of t
+    assert all(denom % xi.denominator == 0 for xi in x), "assignment violates an equality row"
+    scaled = [xi.numerator * (denom // xi.denominator) for xi in x]
+    n = system.theory.space.n
+    assert lattice.zeta(_on_duals(system, scaled), n) == t, "assignment violates an equality row"
+    assert min(scaled) >= 0, "assignment violates nonnegativity"
 
 
 def _verify_farkas(system: FeasibilitySystem, y) -> None:
-    k = len(system.coevents)
-    for j in range(k):
-        col = sum(
-            (yi for yi, row in zip(y, system.rows) if row.coefficients[j]), ZERO
-        )
-        assert col <= 0, "certificate fails on a column"
-    rhs = sum((yi * row.rhs for yi, row in zip(y, system.rows)), ZERO)
-    assert rhs > 0, "certificate fails on the right-hand side"
+    t, _ = system.theory._lattice()
+    scaled, _ = lattice.over_common_denominator(list(y))
+    # column d sums y over the supersets of d; A -> Omega - A reverses the order
+    columns = lattice.zeta(scaled[::-1], system.theory.space.n)[::-1]
+    assert all(columns[phi.dual_mask] <= 0 for phi in system.coevents), \
+        "certificate fails on a column"
+    assert sum(yi * ti for yi, ti in zip(scaled, t)) > 0, "certificate fails on the right-hand side"
 
 
 def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
@@ -213,18 +218,15 @@ def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
     at B (m(B) != 0 off the columns, or m(B) < 0 on one), then
     y_A = sign(m(B)) * (-1)**|B - A| for A contained in B has column sums
     -1 at a column B with m(B) < 0 and 0 at every other column, and
-    y.mu = |m(B)| > 0.  Systems on only some of the rows raise ValueError.
+    y.mu = |m(B)| > 0.
     """
-    n = system.coevents[0].space.n
-    rows = system.rows
-    if len(rows) != 1 << n or any(row.event_mask != mask for mask, row in enumerate(rows)):
-        raise ValueError("the rows must be every event in ascending mask order "
-                         "(as built by build_feasibility)")
-    for idx, row in enumerate(rows):
-        if not any(row.coefficients) and row.rhs != 0:
-            return FeasibilityResult(False, None, idx, None)
-    scaled, denom = lattice.over_common_denominator([row.rhs for row in rows])
-    m = lattice.moebius(scaled, n)
+    n = system.theory.space.n
+    t, denom = system.theory._lattice()
+    inside = lattice.zeta(_on_duals(system, [1] * len(system.coevents)), n)
+    uncovered = next((a for a, v in enumerate(t) if v and not inside[a]), None)
+    if uncovered is not None:
+        return FeasibilityResult(False, None, uncovered, None)
+    m = lattice.moebius(list(t), n)
     columns = {phi.dual_mask for phi in system.coevents}
     bad = next((b for b, v in enumerate(m) if v < 0 or (v and b not in columns)), None)
     if bad is None:
@@ -245,12 +247,15 @@ def max_probability(system: FeasibilitySystem, phi: CoEvent) -> Fraction:
     at most two), zero is forced for any co-event failing the three-event
     identity; the converse does not hold.  The feasible region is the single
     Moebius assignment, so this is that assignment's value at the co-event;
-    infeasible and partial-row systems raise ValueError."""
-    j = system.index_of(phi)
+    infeasible systems raise ValueError."""
+    target = phi.to_multiplicative().dual_mask
+    duals = [psi.dual_mask for psi in system.coevents]
+    if target not in duals:
+        raise ValueError("co-event is not a column of this system")
     result = solve_feasibility(system)
     if not result.feasible:
         raise ValueError("system is infeasible")
-    return result.assignment[j]
+    return result.assignment[duals.index(target)]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +274,9 @@ def feasibility_result_to_json(system: FeasibilitySystem, result: FeasibilityRes
         }
     doc: dict = {"status": "infeasible"}
     if result.inconsistent_row is not None:
-        row = system.rows[result.inconsistent_row]
         doc["certificate"] = {
             "row": result.inconsistent_row,
-            "event": format_mask(row.event_mask),
+            "event": format_mask(system.rows[result.inconsistent_row]),
         }
     else:
         doc["certificate"] = {

@@ -7,18 +7,22 @@ is an exact rational two-phase simplex, independent of the Moebius closed form
 that decides feasibility in the library.  The binomial tail reference sums
 every term from math.comb, independent of the term recurrence in the library.
 The quadratic reference scans every disjoint triple, independent of the
-algebraic normal form that decides the identity in the library.
+algebraic normal form that decides the identity in the library.  The
+feasibility reference stores every row of a system as 0/1 coefficients and
+checks witnesses with sums over that matrix, independent of the lattice
+passes over implicit rows in the library.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from qmeasure.coevents import CoEvent
 from qmeasure.core import Event, HistoriesTheory, SampleSpace
-from qmeasure.dynamics import QuadraticReport
+from qmeasure.dynamics import FeasibilityResult, QuadraticReport
 from qmeasure.exact import ComplexRational
 
 ZERO = Fraction(0)
@@ -59,6 +63,67 @@ def quadratic_scan(phi: CoEvent) -> QuadraticReport:
                         Event(space, a), Event(space, b), Event(space, c)
                     ))
     return QuadraticReport(True, None)
+
+
+@dataclass(frozen=True)
+class FeasibilityRow:
+    event_mask: int
+    coefficients: tuple[int, ...]  # 1 where the co-event affirms the event
+    rhs: Fraction
+
+
+def dense_rows(theory: HistoriesTheory, coevents) -> tuple[FeasibilityRow, ...]:
+    """Every row of the feasibility system over multiplicative co-events in
+    ascending dual order, stored: one per event in ascending mask order."""
+    duals = [phi.dual_mask for phi in coevents]
+    rows = []
+    for mask in range(1 << theory.space.n):
+        coeffs = tuple(1 if d & ~mask == 0 else 0 for d in duals)
+        rows.append(FeasibilityRow(mask, coeffs, theory.mu_mask(mask)))
+    return tuple(rows)
+
+
+def dense_verify_assignment(rows, x) -> None:
+    for row in rows:
+        total = sum((xi for xi, c in zip(x, row.coefficients) if c), ZERO)
+        assert total == row.rhs, "assignment violates an equality row"
+    assert all(xi >= 0 for xi in x), "assignment violates nonnegativity"
+
+
+def dense_verify_farkas(rows, y) -> None:
+    k = len(rows[0].coefficients)
+    for j in range(k):
+        col = sum(
+            (yi for yi, row in zip(y, rows) if row.coefficients[j]), ZERO
+        )
+        assert col <= 0, "certificate fails on a column"
+    rhs = sum((yi * row.rhs for yi, row in zip(y, rows)), ZERO)
+    assert rhs > 0, "certificate fails on the right-hand side"
+
+
+def dense_solve(rows, duals) -> FeasibilityResult:
+    """The closed-form verdict over stored rows: the first row with no
+    co-event and a nonzero measure, else the Moebius transform of the
+    right-hand sides by direct signed sums, read at the duals, else the
+    signed Moebius row of the first event where it is negative or lies off
+    the duals.  Witnesses are checked against the rows."""
+    for idx, row in enumerate(rows):
+        if not any(row.coefficients) and row.rhs != 0:
+            return FeasibilityResult(False, None, idx, None)
+    m = [
+        sum(((-1) ** (b ^ a).bit_count() * rows[a].rhs for a in submasks(b)), ZERO)
+        for b in range(len(rows))
+    ]
+    bad = next((b for b, v in enumerate(m) if v < 0 or (v and b not in duals)), None)
+    if bad is None:
+        x = tuple(m[d] for d in duals)
+        dense_verify_assignment(rows, x)
+        return FeasibilityResult(True, x, None, None)
+    y = [ZERO] * len(rows)
+    for a in submasks(bad):
+        y[a] = (-1) ** (bad ^ a).bit_count() * (ONE if m[bad] > 0 else -ONE)
+    dense_verify_farkas(rows, y)
+    return FeasibilityResult(False, None, None, tuple(y))
 
 
 def amplitude_theory(amplitudes) -> HistoriesTheory:

@@ -291,3 +291,7 @@ def test_coevent_json_round_trip():
     for bit in (2, True, 1.0):
         with pytest.raises(ValueError):
             cv.coevent_from_json(space, {"table": {"0x1": bit}})
+    # two spellings of one event, in either order
+    for bits in ({"0x3": 1, "0x03": 0}, {"0x03": 0, "0x3": 1}):
+        with pytest.raises(ValueError, match="0x3"):
+            cv.coevent_from_json(space, {"table": bits})

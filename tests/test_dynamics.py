@@ -137,11 +137,13 @@ def test_build_feasibility_coin_rows():
     candidates = [cv.dual(space.event("h")), cv.dual(space.event("t"))]
     system = dy.build_feasibility(theory, candidates)
     assert [phi.dual_mask for phi in system.coevents] == [0b01, 0b10]
-    rows = {row.event_mask: (row.coefficients, row.rhs) for row in system.rows}
-    assert rows[0b00] == ((0, 0), Fraction(0))
-    assert rows[0b01] == ((1, 0), Fraction(1, 3))
-    assert rows[0b10] == ((0, 1), Fraction(2, 3))
-    assert rows[0b11] == ((1, 1), Fraction(1))
+    assert system.rows == range(4)
+    assert system.row(0b00) == ((0, 0), Fraction(0))
+    assert system.row(0b01) == ((1, 0), Fraction(1, 3))
+    assert system.row(0b10) == ((0, 1), Fraction(2, 3))
+    assert system.row(0b11) == ((1, 1), Fraction(1))
+    with pytest.raises(ValueError):
+        system.row(0b100)
 
 
 def test_full_space_row_forces_total_probability_one():
@@ -151,9 +153,7 @@ def test_full_space_row_forces_total_probability_one():
         theory,
         [cv.dual(space.event("h")), cv.dual(space.event("t")), cv.dual(space.omega)],
     )
-    omega_row = next(row for row in system.rows if row.event_mask == 0b11)
-    assert omega_row.coefficients == (1, 1, 1)
-    assert omega_row.rhs == 1
+    assert system.row(0b11) == ((1, 1, 1), 1)
 
 
 def test_build_feasibility_rejects_bad_candidate_sets():
@@ -163,22 +163,6 @@ def test_build_feasibility_rejects_bad_candidate_sets():
     h_star = cv.dual(theory.space.event("h"))
     with pytest.raises(ValueError):
         dy.build_feasibility(theory, [h_star, h_star])
-
-
-def test_partial_row_systems_are_refused():
-    # the observable-row system of the coin: only the full-space row
-    theory = coin_theory(Fraction(1, 3))
-    space = theory.space
-    full = dy.build_feasibility(
-        theory, [cv.dual(space.event("h")), cv.dual(space.event("t"))]
-    )
-    observable = dy.FeasibilitySystem(full.coevents, (full.rows[0b11],))
-    reordered = dy.FeasibilitySystem(full.coevents, full.rows[::-1])
-    for system in (observable, reordered):
-        with pytest.raises(ValueError, match="every event in ascending mask order"):
-            dy.solve_feasibility(system)
-        with pytest.raises(ValueError, match="every event in ascending mask order"):
-            dy.max_probability(system, cv.dual(space.event("h")))
 
 
 def test_solve_coin_system():
@@ -198,9 +182,9 @@ def test_three_path_single_candidate_contradiction():
     system = dy.build_feasibility(theory, [cv.dual(space.event("a", "c"))])
     result = dy.solve_feasibility(system)
     assert not result.feasible
-    row = system.rows[result.inconsistent_row]
-    assert row.coefficients == (0,)
-    assert row.rhs != 0
+    coefficients, rhs = system.row(system.rows[result.inconsistent_row])
+    assert coefficients == (0,)
+    assert rhs != 0
 
 
 def test_infeasible_without_contradictory_row_yields_farkas():
@@ -216,12 +200,11 @@ def test_infeasible_without_contradictory_row_yields_farkas():
     assert result.inconsistent_row is None
     assert result.farkas is not None
     # re-verify the certificate externally
+    rows = [system.row(mask) for mask in system.rows]
     for j in range(len(system.coevents)):
-        column = sum(
-            y for y, row in zip(result.farkas, system.rows) if row.coefficients[j]
-        )
+        column = sum(y for y, (coeffs, _) in zip(result.farkas, rows) if coeffs[j])
         assert column <= 0
-    assert sum(y * row.rhs for y, row in zip(result.farkas, system.rows)) > 0
+    assert sum(y * rhs for y, (_, rhs) in zip(result.farkas, rows)) > 0
 
 
 def test_uniform_three_history_full_candidate_set():
@@ -245,9 +228,10 @@ def test_assignment_satisfies_rows_on_resubstitution():
     )
     result = dy.solve_feasibility(system)
     assert result.feasible
-    for row in system.rows:
-        total = sum(x for x, c in zip(result.assignment, row.coefficients) if c)
-        assert total == row.rhs
+    for mask in system.rows:
+        coeffs, rhs = system.row(mask)
+        total = sum(x for x, c in zip(result.assignment, coeffs) if c)
+        assert total == rhs
     assert all(x >= 0 for x in result.assignment)
 
 
@@ -344,8 +328,9 @@ def test_solver_agrees_with_floating_lp():
         theory = HistoriesTheory.from_table(space, values)
         candidates = [cv.CoEvent(space, dual_mask=d) for d in dual_masks]
         system = dy.build_feasibility(theory, candidates)
-        matrix = [list(row.coefficients) for row in system.rows]
-        rhs = [float(row.rhs) for row in system.rows]
+        rows = [system.row(mask) for mask in system.rows]
+        matrix = [list(coeffs) for coeffs, _ in rows]
+        rhs = [float(b) for _, b in rows]
         lp = scipy_opt.linprog(
             c=[0.0] * count, A_eq=matrix, b_eq=rhs,
             bounds=[(0, None)] * count, method="highs",

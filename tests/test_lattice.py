@@ -22,6 +22,10 @@ from helpers import (
     amplitude_theory,
     brute_minimal_nonnegligible,
     brute_negligible,
+    dense_rows,
+    dense_solve,
+    dense_verify_assignment,
+    dense_verify_farkas,
     level_oracle,
     quadratic_scan,
     submasks,
@@ -291,9 +295,10 @@ def full_row_systems(draw):
 
 
 def _simplex(system):
+    rows = [system.row(mask) for mask in system.rows]
     return ExactSimplex(
-        [row.coefficients for row in system.rows],
-        [row.rhs for row in system.rows],
+        [coeffs for coeffs, _ in rows],
+        [rhs for _, rhs in rows],
         len(system.coevents),
     )
 
@@ -320,6 +325,64 @@ def test_closed_form_feasibility_matches_simplex(system):
         costs = [Fraction(0)] * len(system.coevents)
         costs[j] = Fraction(-1)
         assert dy.max_probability(system, phi) == -reference.phase_two_min(costs)
+
+
+@st.composite
+def feasibility_systems(draw):
+    # masses on the candidates (feasible); the same with one more unit of
+    # either sign on an event containing a candidate (mostly a Farkas
+    # certificate); or an arbitrary signed table (mostly a contradictory row)
+    n = draw(st.integers(1, 6))
+    space = _space(n)
+    full = (1 << n) - 1
+    duals = draw(st.sets(st.integers(1, full), min_size=1))
+    kind = draw(st.sampled_from(("masses", "perturbed", "arbitrary")))
+    if kind == "arbitrary":
+        values = draw(st.lists(st.fractions(min_value=-1, max_value=2, max_denominator=4),
+                               min_size=full + 1, max_size=full + 1))
+    else:
+        m = [0] * (full + 1)
+        for d in duals:
+            m[d] = draw(st.integers(0, 2))
+        if kind == "perturbed":
+            event = draw(st.sampled_from(sorted(duals))) | draw(st.integers(0, full))
+            m[event] += draw(st.sampled_from((-1, 1)))
+        values = [Fraction(v, 3) for v in lattice.zeta(m, n)]
+    theory = HistoriesTheory.from_table(space, dict(enumerate(values)))
+    return dy.build_feasibility(theory, [cv.CoEvent(space, dual_mask=d) for d in duals])
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasibility_systems(), st.data())
+def test_lattice_pass_checks_match_the_dense_reference(system, data):
+    rows = dense_rows(system.theory, system.coevents)
+    assert [row.event_mask for row in rows] == list(system.rows)
+    assert [system.row(row.event_mask) for row in rows] == [
+        (row.coefficients, row.rhs) for row in rows]
+    result = dy.solve_feasibility(system)
+    assert result == dense_solve(rows, [phi.dual_mask for phi in system.coevents])
+    # a changed witness fails both the passes and the matrix sums
+    if result.feasible:
+        x = list(result.assignment)
+        x[data.draw(st.integers(0, len(x) - 1))] += data.draw(
+            st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(-1, 7))))
+        broken = [x]
+        checks = (dy._verify_assignment, lambda _, v: dense_verify_assignment(rows, v))
+    elif result.farkas is not None:
+        # one multiplier raised on an event containing a dual lifts that
+        # column to >= 1; zero multipliers fail on the right-hand side alone
+        phi = data.draw(st.sampled_from(system.coevents))
+        y = list(result.farkas)
+        y[phi.dual_mask | data.draw(st.integers(0, len(rows) - 1))] += 2
+        broken = [y, [Fraction(0)] * len(rows)]
+        checks = (dy._verify_farkas, lambda _, v: dense_verify_farkas(rows, v))
+    else:
+        assert not any(system.row(result.inconsistent_row)[0])
+        return
+    for witness in broken:
+        for check in checks:
+            with pytest.raises(AssertionError):
+                check(system, witness)
 
 
 def test_closed_form_certificate_is_the_signed_moebius_row():
@@ -359,12 +422,13 @@ def test_operations_finish_at_the_cap():
         assert all(theory.is_negligible(dual + single, eps)
                    for single in theory.space.singletons() if single.issubset(dual))
 
-    # every dual of a classical measure at n = 10: the unique assignment is
+    # every dual of a classical table at n = 16: the unique assignment is
     # the weights on the singletons
-    classical = random_classical_theory(random.Random(10), 10)
-    space = classical.space
+    weights = random_classical_theory(random.Random(16), n, table_form=False)
+    space = weights.space
+    classical = HistoriesTheory.from_table(space, dict(enumerate(weights.full_table())))
     system = dy.build_feasibility(
-        classical, [cv.CoEvent(space, dual_mask=m) for m in range(1, 1 << 10)])
+        classical, [cv.CoEvent(space, dual_mask=m) for m in range(1, 1 << n)])
     result = dy.solve_feasibility(system)
     assert result.feasible
     for phi, x in zip(system.coevents, result.assignment):
@@ -372,6 +436,14 @@ def test_operations_finish_at_the_cap():
         assert x == expected
     assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b100)) == classical.mu_mask(0b100)
     assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b110)) == 0
+    # the duals containing the last history leave the first nonnull
+    # singleton with no dual inside it: a contradictory row
+    top = 1 << (n - 1)
+    system = dy.build_feasibility(
+        classical, [cv.CoEvent(space, dual_mask=m) for m in range(top, 1 << n)])
+    result = dy.solve_feasibility(system)
+    first = next(1 << i for i in range(n) if classical.mu_mask(1 << i))
+    assert (result.feasible, result.inconsistent_row) == (False, first)
 
 
 def test_is_quadratic_finishes_at_the_cap():
