@@ -25,10 +25,11 @@ which also forces all higher terms to vanish.  Classical probability theory
 is level one; measures arising from unitary quantum theories are level two.
 
 Scans of the whole event lattice run on integers: the measure of every
-event is held over one common denominator and transformed by
-``qmeasure.lattice``.  The weights and decoherence forms give the Moebius
-transform of their measure directly (singletons and pairs), so their table
-is one zeta transform; ``Fraction`` appears only where values leave.
+event is held as integers over one common denominator and transformed by
+``qmeasure.lattice``.  A table is stored only in that form, each entry
+parsed once; the weights and decoherence forms give the Moebius transform
+of their measure directly (singletons and pairs), so their table is one
+zeta transform.  ``Fraction`` appears only where values leave.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import lattice
-from .exact import CZERO, ComplexRational, format_rational, parse_rational
+from .exact import CZERO, ComplexRational, format_rational, parse_rational, rational_parts
 
 #: Brute-force scans over all 2**n events are refused above this size unless
 #: the caller passes ``override_cap=True``.
@@ -50,7 +51,6 @@ ENUM_CAP = 16
 STORAGE_CAP = 24
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SizeCapError(RuntimeError):
@@ -225,11 +225,12 @@ def event_mul(a: Event, b: Event) -> Event:
 
 
 class TableMeasure:
-    """Explicit measure: one exact rational per event mask (all 2**n present)."""
+    """Explicit measure over all 2**n events, each value parsed once and held
+    as ``ints = (t, L)``: mu(A) = t[A] / L over one common denominator."""
 
     kind = "table"
 
-    def __init__(self, n: int, values: dict[int, Fraction]):
+    def __init__(self, n: int, values):
         if n > STORAGE_CAP:
             raise SizeCapError(f"table measure over {n} histories exceeds cap {STORAGE_CAP}")
         size = 1 << n
@@ -240,7 +241,7 @@ class TableMeasure:
                 f"table must cover every event exactly once "
                 f"(missing {[hex(m) for m in missing]}, extra {[hex(m) for m in extra]})"
             )
-        self.values = {mask: parse_rational(v) for mask, v in values.items()}
+        self.ints = lattice.over_common_denominator([rational_parts(values[m]) for m in range(size)])
 
 
 class DecoherenceMeasure:
@@ -321,8 +322,7 @@ class HistoriesTheory:
             raise TypeError("measure must be a TableMeasure, DecoherenceMeasure, or WeightsMeasure")
         self.space = space
         self.measure = measure
-        self._ints: tuple[list[int], int] | None = None
-        self._table: list[Fraction] | None = None  # built only by full_table
+        self._ints = measure.ints if measure.kind == "table" else None
         self._negligible_cache: dict[Fraction, int] = {}
 
     # -- constructors --------------------------------------------------
@@ -330,10 +330,8 @@ class HistoriesTheory:
     @classmethod
     def from_table(cls, space: SampleSpace, values) -> "HistoriesTheory":
         """Build from a mapping of Event/mask to rational over all 2**n events."""
-        masks: dict[int, Fraction] = {}
-        for key, value in values.items():
-            mask = key.mask if isinstance(key, Event) else int(key)
-            masks[mask] = parse_rational(value)
+        masks = {key.mask if isinstance(key, Event) else int(key): value
+                 for key, value in values.items()}
         return cls(space, TableMeasure(space.n, masks))
 
     @classmethod
@@ -344,9 +342,10 @@ class HistoriesTheory:
             for entry in row:
                 if isinstance(entry, ComplexRational):
                     entries.append(entry)
+                elif isinstance(entry, (list, tuple)) and len(entry) == 2:
+                    entries.append(ComplexRational.of(*entry))
                 else:
-                    re, im = entry
-                    entries.append(ComplexRational.of(re, im))
+                    raise ValueError("matrix entries must be [re, im] pairs")
             rows.append(tuple(entries))
         return cls(space, DecoherenceMeasure(space.n, tuple(rows)))
 
@@ -368,12 +367,12 @@ class HistoriesTheory:
             raise ValueError("event belongs to a different sample space")
 
     def mu_mask(self, mask: int) -> Fraction:
-        m = self.measure
-        if m.kind == "table":
-            return m.values[mask]
+        if mask < 0 or mask >> self.space.n:
+            raise ValueError(f"mask {hex(mask)} out of range for {self.space.n} histories")
         if self._ints is not None:
             table, denom = self._ints
             return Fraction(table[mask], denom)
+        m = self.measure
         if m.kind == "weights":
             total = ZERO
             rest = mask
@@ -418,18 +417,12 @@ class HistoriesTheory:
 
     def _lattice(self, override_cap: bool = False) -> tuple[list[int], int]:
         """The measure of every event as ``(t, L)`` with mu(A) = t[A] / L over
-        one common denominator L (capped for the weights and decoherence
-        forms, whose tables are not stored)."""
+        one common denominator L (stored for the table form; built once and
+        capped for the weights and decoherence forms)."""
         if self._ints is None:
-            m = self.measure
-            if m.kind == "table":
-                self._ints = lattice.over_common_denominator(
-                    [m.values[mask] for mask in range(1 << self.space.n)])
-            else:
-                n = self.space.n
-                _check_enum_cap(n, override_cap)
-                coeffs, denom = self._sparse_moebius()
-                self._ints = (lattice.zeta(coeffs, n), denom)
+            _check_enum_cap(self.space.n, override_cap)
+            coeffs, denom = self._sparse_moebius()
+            self._ints = (lattice.zeta(coeffs, self.space.n), denom)
         return self._ints
 
     def _sparse_moebius(self) -> tuple[list[int], int]:
@@ -450,25 +443,19 @@ class HistoriesTheory:
             for i, j in combinations(range(n), 2):
                 blocks[1 << i | 1 << j] = m.matrix[i][j] + m.matrix[j][i]
             if any(c.imag for c in blocks):
-                imag, _ = lattice.over_common_denominator([c.imag for c in blocks])
+                imag, _ = lattice.over_common_denominator([c.imag.as_integer_ratio() for c in blocks])
                 bad = next(mask for mask, v in enumerate(lattice.zeta(imag, n)) if v)
                 raise ValueError(
                     f"measure of event {hex(bad)} is not real; "
                     "the decoherence matrix is not Hermitian (run validate)"
                 )
             coeffs = [c.real for c in blocks]
-        return lattice.over_common_denominator(coeffs)
+        return lattice.over_common_denominator([c.as_integer_ratio() for c in coeffs])
 
     def full_table(self, override_cap: bool = False) -> list[Fraction]:
-        """The measure of every event, indexed by mask (capped)."""
-        if self._table is None:
-            m = self.measure
-            if m.kind == "table":
-                self._table = [m.values[mask] for mask in range(1 << self.space.n)]
-            else:
-                table, denom = self._lattice(override_cap)
-                self._table = [Fraction(v, denom) for v in table]
-        return self._table
+        """The measure of every event, indexed by mask, as a new list (capped)."""
+        table, denom = self._lattice(override_cap)
+        return [Fraction(v, denom) for v in table]
 
     # -- null and negligible families ------------------------------------
 
@@ -740,7 +727,7 @@ def theory_from_json(doc: dict) -> HistoriesTheory:
         raw = measure.get("values")
         if not isinstance(raw, dict):
             raise ValueError("table measure needs a 'values' object")
-        values = {parse_mask(key): parse_rational(v) for key, v in raw.items()}
+        values = {parse_mask(key): v for key, v in raw.items()}
         if len(values) < len(raw):
             twice = Counter(map(parse_mask, raw)).most_common(1)[0][0]
             raise ValueError(f"table lists event {format_mask(twice)} more than once")
@@ -749,15 +736,7 @@ def theory_from_json(doc: dict) -> HistoriesTheory:
         raw = measure.get("matrix")
         if not isinstance(raw, list):
             raise ValueError("decoherence measure needs a 'matrix' array")
-        matrix = []
-        for row in raw:
-            entries = []
-            for entry in row:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise ValueError("matrix entries must be [re, im] pairs")
-                entries.append(ComplexRational.of(entry[0], entry[1]))
-            matrix.append(entries)
-        return HistoriesTheory.from_decoherence(space, matrix)
+        return HistoriesTheory.from_decoherence(space, raw)
     raise ValueError(f"unknown measure type: {mtype!r}")
 
 

@@ -134,7 +134,18 @@ class FeasibilitySystem:
     nonnegative probabilities of the co-events affirming it sum to its measure."""
 
     theory: HistoriesTheory
-    coevents: tuple[CoEvent, ...]  # multiplicative, in ascending dual order
+    coevents: tuple[CoEvent, ...]  # multiplicative and distinct, in ascending dual order
+
+    def __post_init__(self):
+        cos = sorted((phi.to_multiplicative() for phi in self.coevents),
+                     key=lambda phi: phi.dual_mask)
+        if not cos:
+            raise ValueError("need at least one co-event")
+        if any(phi.space != self.theory.space for phi in cos):
+            raise ValueError("co-event over a different sample space")
+        if len({phi.dual_mask for phi in cos}) != len(cos):
+            raise ValueError("duplicate co-events in the candidate set")
+        object.__setattr__(self, "coevents", tuple(cos))
 
     @property
     def rows(self) -> range:
@@ -156,18 +167,10 @@ def build_feasibility(theory: HistoriesTheory, coevents, *,
     One row per event of the full algebra, in ascending mask order; the
     full-space row forces the probabilities to sum to one.
     """
-    cos = [phi.to_multiplicative() for phi in coevents]
-    if not cos:
-        raise ValueError("need at least one co-event")
-    for phi in cos:
-        if phi.space != theory.space:
-            raise ValueError("co-event over a different sample space")
-    cos.sort(key=lambda phi: phi.dual_mask)
-    if len({phi.dual_mask for phi in cos}) != len(cos):
-        raise ValueError("duplicate co-events in the candidate set")
+    system = FeasibilitySystem(theory, tuple(coevents))
     _check_enum_cap(theory.space.n, override_cap)
     theory._lattice(override_cap)  # every right-hand side, built once
-    return FeasibilitySystem(theory, tuple(cos))
+    return system
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ def _verify_assignment(system: FeasibilitySystem, x) -> None:
 
 def _verify_farkas(system: FeasibilitySystem, y) -> None:
     t, _ = system.theory._lattice()
-    scaled, _ = lattice.over_common_denominator(list(y))
+    scaled, _ = lattice.over_common_denominator([v.as_integer_ratio() for v in y])
     # column d sums y over the supersets of d; A -> Omega - A reverses the order
     columns = lattice.zeta(scaled[::-1], system.theory.space.n)[::-1]
     assert all(columns[phi.dual_mask] <= 0 for phi in system.coevents), \

@@ -8,30 +8,47 @@ boundary instead of being silently converted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 
-def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a string like "3/4".
+# integers and "p/q", q nonzero, skip Fraction's parser, which doubles a table load
+_INTEGER_RATIO = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
-    Decimal strings ("0.001") are accepted because they are exact; float
-    objects are rejected because their binary value is not what was written.
-    """
+#: Largest exponent read, as in "1e-3": Fraction writes the power of ten out in full.
+MAX_EXPONENT = 1000
+
+
+def rational_parts(value) -> tuple[int, int]:
+    """An exact rational as ``(numerator, denominator)``, the denominator
+    positive but not always in lowest terms, from an int, a Fraction, or a
+    string: ``[+-]digits[/digits]`` (denominator nonzero) is read with
+    ``int``, any other spelling ("0.001", "1e-3", exponents up to
+    ``MAX_EXPONENT``) by ``Fraction``.  Decimal strings are exact; floats
+    are rejected because their binary value is not what was written."""
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
     if isinstance(value, str):
+        text = value.strip()
         try:
-            return Fraction(value.strip())
+            if _INTEGER_RATIO.fullmatch(text):
+                num, _, den = text.partition("/")
+                return int(num), int(den or 1)
+            _, marker, exponent = text.lower().rpartition("e")
+            if marker and abs(int(exponent)) > MAX_EXPONENT:
+                raise ValueError(f"exponent beyond {MAX_EXPONENT}")
+            return Fraction(text).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
-    raise TypeError(
-        f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}"
-    )
+    raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
+
+
+def parse_rational(value) -> Fraction:
+    """Parse an exact rational, spelled as ``rational_parts`` accepts."""
+    return value if isinstance(value, Fraction) else Fraction(*rational_parts(value))
 
 
 def format_rational(value: Fraction) -> str:
@@ -83,4 +100,3 @@ class ComplexRational:
 
 
 CZERO = ComplexRational(Fraction(0), Fraction(0))
-CONE = ComplexRational(Fraction(1), Fraction(0))

@@ -15,17 +15,19 @@ keeps every result exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add, sub
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integers over their least common denominator L:
-    ``([v * L for v in values], L)``."""
-    denom = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+def over_common_denominator(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Rationals given as ``(numerator, denominator)`` pairs, denominators
+    positive but not necessarily reduced, as integers t over their least
+    common denominator L: ``(t, L)`` with ``t[i] / L`` the i-th rational."""
+    denom = math.lcm(*{q for _, q in pairs})
+    scaled = [p * (denom // q) for p, q in pairs]
+    common = math.gcd(denom, *scaled)
+    return [v // common for v in scaled], denom // common
 
 
 def _passes(values: list[int], n: int, op) -> list[int]:

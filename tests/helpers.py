@@ -149,10 +149,10 @@ def amplitude_mu_oracle(amplitudes, mask: int) -> Fraction:
     return re * re + im * im
 
 
-def brute_negligible(theory: HistoriesTheory, mask: int, eps: Fraction) -> bool:
-    """Direct definition: some superset is (eps-)null."""
-    table = theory.full_table()
-    n = theory.space.n
+def brute_negligible(table: list[Fraction], mask: int, eps: Fraction) -> bool:
+    """Direct definition: some superset is (eps-)null, read off the measure
+    of every event (``theory.full_table()``)."""
+    n = len(table).bit_length() - 1
     rest = ((1 << n) - 1) ^ mask
     for extra in submasks(rest):
         value = table[mask | extra]
@@ -164,15 +164,16 @@ def brute_negligible(theory: HistoriesTheory, mask: int, eps: Fraction) -> bool:
 def brute_minimal_nonnegligible(theory: HistoriesTheory, eps: Fraction) -> tuple[int, ...]:
     """Minimal sets with no (eps-)null superset, by direct double scan."""
     n = theory.space.n
+    table = theory.full_table()
     out = []
     for mask in range(1, 1 << n):
-        if brute_negligible(theory, mask, eps):
+        if brute_negligible(table, mask, eps):
             continue
         rest = mask
         minimal = True
         while rest:
             bit = rest & -rest
-            if not brute_negligible(theory, mask ^ bit, eps):
+            if not brute_negligible(table, mask ^ bit, eps):
                 minimal = False
                 break
             rest ^= bit

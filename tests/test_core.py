@@ -1,8 +1,12 @@
 import json
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure.checks import coin_theory, random_classical_theory, random_decoherence_theory, three_path_theory
 from qmeasure.core import (
@@ -419,10 +423,11 @@ def test_negligible_family_is_downward_closure_of_nulls():
     theories += [random_classical_theory(rng, 4) for _ in range(4)]
     for theory in theories:
         space = theory.space
+        table = theory.full_table()
         for eps in (Fraction(0), Fraction(1, 7)):
             for mask in range(1 << space.n):
                 event = space.event_from_mask(mask)
-                assert theory.is_negligible(event, eps) == brute_negligible(theory, mask, eps)
+                assert theory.is_negligible(event, eps) == brute_negligible(table, mask, eps)
 
 
 def test_three_path_negligible_structure():
@@ -445,6 +450,53 @@ def test_theory_json_round_trip_table():
     assert parsed.space.labels == ("h", "t")
     for mask in range(4):
         assert parsed.mu_mask(mask) == theory.mu_mask(mask)
+
+
+def test_full_table_is_a_new_list_on_every_call():
+    weights = coin_theory(Fraction(1, 3))
+    table = HistoriesTheory.from_table(weights.space, dict(enumerate(weights.full_table())))
+    for theory in (weights, table):
+        doc = theory_to_json(theory)
+        values = theory.full_table()
+        values[3] = Fraction(7)
+        assert theory.full_table()[3] == 1
+        assert theory_to_json(theory) == doc
+
+
+def test_mu_mask_rejects_masks_outside_the_lattice():
+    weights = coin_theory(Fraction(1, 3))
+    table = HistoriesTheory.from_table(weights.space, dict(enumerate(weights.full_table())))
+    for theory in (weights, table, three_path_theory()):
+        for mask in (-1, 1 << theory.space.n):
+            with pytest.raises(ValueError, match="out of range"):
+                theory.mu_mask(mask)
+
+
+@st.composite
+def _spelled_rational(draw):
+    """A rational and one of its spellings in a theory file: an unreduced
+    "p/q", a padded reduced string, a JSON int, or an exact decimal."""
+    p, q, k = draw(st.integers(-40, 40)), draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10])), draw(st.integers(1, 4))
+    value = Fraction(p, q)
+    spellings = [f"{p * k}/{q * k}", f" {value} "]
+    if value.denominator == 1:
+        spellings.append(int(value))
+    if 1000 % value.denominator == 0:
+        spellings.append(str(Decimal(value.numerator) / Decimal(value.denominator)))
+        spellings.append(f"{value.numerator * (1000 // value.denominator)}e-3")
+    return value, draw(st.sampled_from(spellings))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_spelled_rational(), min_size=8, max_size=8))
+def test_table_of_mixed_spellings_is_held_in_lowest_terms(entries):
+    values = [value for value, _ in entries]
+    doc = {"histories": ["a", "b", "c"],
+           "measure": {"type": "table", "values": {hex(m): s for m, (_, s) in enumerate(entries)}}}
+    t, denom = theory_from_json(doc)._lattice()
+    expected_denom = math.lcm(*(v.denominator for v in values))
+    assert denom == expected_denom and math.gcd(denom, *t) == 1
+    assert t == [v.numerator * (expected_denom // v.denominator) for v in values]
 
 
 def test_theory_json_round_trip_decoherence():
@@ -475,3 +527,15 @@ def test_theory_json_rejects_malformed():
             "histories": ["a", "b"],
             "measure": {"type": "table", "values": {"0x0": "0"}},
         })
+    # values are parsed after the coverage check, so that error comes first
+    with pytest.raises(ValueError, match="cover every event"):
+        theory_from_json({
+            "histories": ["a"],
+            "measure": {"type": "table", "values": {"0x0": "junk"}},
+        })
+    for entry in ([1], [1, 0, 0], "10", 1):
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            theory_from_json({
+                "histories": ["a"],
+                "measure": {"type": "decoherence", "matrix": [[entry]]},
+            })

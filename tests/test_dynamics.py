@@ -165,6 +165,22 @@ def test_build_feasibility_rejects_bad_candidate_sets():
         dy.build_feasibility(theory, [h_star, h_star])
 
 
+def test_feasibility_system_validates_its_candidates():
+    theory = coin_theory(Fraction(1, 3))
+    space = theory.space
+    h_star = cv.dual(space.event("h"))
+    not_multiplicative = cv.CoEvent.from_table(space, {0b01, 0b10, 0b11})
+    other_space = cv.dual(SampleSpace.of("x", "y").event("x"))
+    for candidates in ([not_multiplicative], [h_star, other_space], [h_star, h_star], []):
+        with pytest.raises(ValueError):
+            dy.FeasibilitySystem(theory, tuple(candidates))
+    # a multiplicative table-form co-event is held in dual form, in dual order
+    t_star = cv.CoEvent.from_table(space, {0b10, 0b11})
+    system = dy.FeasibilitySystem(theory, (t_star, h_star))
+    assert [phi.dual_mask for phi in system.coevents] == [0b01, 0b10]
+    assert dy.solve_feasibility(system).assignment == (Fraction(1, 3), Fraction(2, 3))
+
+
 def test_solve_coin_system():
     theory = coin_theory(Fraction(1, 3))
     space = theory.space
