@@ -26,10 +26,10 @@ is level one; measures arising from unitary quantum theories are level two.
 
 Scans of the whole event lattice run on integers: the measure of every
 event is held as integers over one common denominator and transformed by
-``qmeasure.lattice``.  A table is stored only in that form, each entry
-parsed once; the weights and decoherence forms give the Moebius transform
-of their measure directly (singletons and pairs), so their table is one
-zeta transform.  ``Fraction`` appears only where values leave.
+``qmeasure.lattice``.  A table is stored only in that form, each distinct
+value parsed once; the weights and decoherence forms give the Moebius
+transform of their measure directly (singletons and pairs), so their table
+is one zeta transform.  ``Fraction`` appears only where values leave.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import itemgetter
 
 from . import lattice
 from .exact import CZERO, ComplexRational, format_rational, parse_rational, rational_parts
@@ -83,6 +84,28 @@ def parse_mask(text: str) -> int:
     if mask < 0:
         raise ValueError(f"bitmask must be nonnegative: {text!r}")
     return mask
+
+
+def _parse_masks(texts) -> list[int]:
+    """``parse_mask`` of each text, in one C-level pass when every text is
+    a valid nonnegative hex spelling; otherwise ``parse_mask`` names the
+    first bad one."""
+    try:
+        masks = list(map(int, texts, repeat(16)))
+        if not masks or min(masks) >= 0:
+            return masks
+    except (TypeError, ValueError):
+        pass
+    return list(map(parse_mask, texts))
+
+
+def _by_mask(masks: list[int], values) -> dict:
+    """Table values keyed by their event masks, each event listed once."""
+    table = dict(zip(masks, values))
+    if len(table) < len(masks):
+        twice = Counter(masks).most_common(1)[0][0]
+        raise ValueError(f"table lists event {format_mask(twice)} more than once")
+    return table
 
 
 @dataclass(frozen=True)
@@ -225,8 +248,9 @@ def event_mul(a: Event, b: Event) -> Event:
 
 
 class TableMeasure:
-    """Explicit measure over all 2**n events, each value parsed once and held
-    as ``ints = (t, L)``: mu(A) = t[A] / L over one common denominator."""
+    """Explicit measure over all 2**n events, each distinct value parsed once
+    and held as ``ints = (t, L)``: mu(A) = t[A] / L over one common
+    denominator."""
 
     kind = "table"
 
@@ -234,14 +258,27 @@ class TableMeasure:
         if n > STORAGE_CAP:
             raise SizeCapError(f"table measure over {n} histories exceeds cap {STORAGE_CAP}")
         size = 1 << n
-        if set(values) != set(range(size)):
+        if len(values) != size or min(values) < 0 or max(values) >= size:
             missing = sorted(set(range(size)) - set(values))[:3]
             extra = sorted(set(values) - set(range(size)))[:3]
             raise ValueError(
                 f"table must cover every event exactly once "
                 f"(missing {[hex(m) for m in missing]}, extra {[hex(m) for m in extra]})"
             )
-        self.ints = lattice.over_common_denominator([rational_parts(values[m]) for m in range(size)])
+        entries = list(map(values.__getitem__, range(size)))
+        # Keyed with its type, a value is parsed once however often it
+        # repeats, and True, 1.0 and 1 stay apart to be refused or read on
+        # their own.  Keys appear in mask order, so the first bad entry raises.
+        try:
+            distinct = dict.fromkeys(zip(map(type, entries), entries))
+        except TypeError:  # an unhashable value, such as a JSON list or object
+            for value in entries:
+                rational_parts(value)
+            raise
+        t, denom = lattice.over_common_denominator(
+            list(map(rational_parts, map(itemgetter(1), distinct))))
+        scaled = dict(zip(distinct, t))
+        self.ints = list(map(scaled.__getitem__, zip(map(type, entries), entries))), denom
 
 
 class DecoherenceMeasure:
@@ -329,10 +366,17 @@ class HistoriesTheory:
 
     @classmethod
     def from_table(cls, space: SampleSpace, values) -> "HistoriesTheory":
-        """Build from a mapping of Event/mask to rational over all 2**n events."""
-        masks = {key.mask if isinstance(key, Event) else int(key): value
-                 for key, value in values.items()}
-        return cls(space, TableMeasure(space.n, masks))
+        """Build from a mapping of Event/mask to rational over all 2**n events,
+        each event listed once and every Event over ``space``."""
+        masks = []
+        for key in values:
+            if isinstance(key, Event):
+                if key.space != space:
+                    raise ValueError(f"table event {key.hex_mask} belongs to a different sample space")
+                masks.append(key.mask)
+            else:
+                masks.append(int(key))
+        return cls(space, TableMeasure(space.n, _by_mask(masks, values.values())))
 
     @classmethod
     def from_decoherence(cls, space: SampleSpace, matrix) -> "HistoriesTheory":
@@ -727,11 +771,7 @@ def theory_from_json(doc: dict) -> HistoriesTheory:
         raw = measure.get("values")
         if not isinstance(raw, dict):
             raise ValueError("table measure needs a 'values' object")
-        values = {parse_mask(key): v for key, v in raw.items()}
-        if len(values) < len(raw):
-            twice = Counter(map(parse_mask, raw)).most_common(1)[0][0]
-            raise ValueError(f"table lists event {format_mask(twice)} more than once")
-        return HistoriesTheory(space, TableMeasure(space.n, values))
+        return HistoriesTheory(space, TableMeasure(space.n, _by_mask(_parse_masks(raw), raw.values())))
     if mtype == "decoherence":
         raw = measure.get("matrix")
         if not isinstance(raw, list):

@@ -27,23 +27,25 @@ def rational_parts(value) -> tuple[int, int]:
     ``int``, any other spelling ("0.001", "1e-3", exponents up to
     ``MAX_EXPONENT``) by ``Fraction``.  Decimal strings are exact; floats
     are rejected because their binary value is not what was written."""
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rationals")
-    if isinstance(value, (int, Fraction)):
-        return value.as_integer_ratio()
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            if _INTEGER_RATIO.fullmatch(text):
-                num, _, den = text.partition("/")
-                return int(num), int(den or 1)
-            _, marker, exponent = text.lower().rpartition("e")
-            if marker and abs(int(exponent)) > MAX_EXPONENT:
-                raise ValueError(f"exponent beyond {MAX_EXPONENT}")
-            return Fraction(text).as_integer_ratio()
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
-    raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
+    # strings first: the isinstance test against the Fraction ABC is slow
+    if type(value) is not str:
+        if isinstance(value, bool):
+            raise TypeError("booleans are not rationals")
+        if isinstance(value, (int, Fraction)):
+            return value.as_integer_ratio()
+        if not isinstance(value, str):
+            raise TypeError(f"expected int, Fraction, or 'p/q' string, got {type(value).__name__}")
+    text = value.strip()
+    try:
+        if _INTEGER_RATIO.fullmatch(text):
+            num, _, den = text.partition("/")
+            return int(num), int(den or 1)
+        _, marker, exponent = text.lower().rpartition("e")
+        if marker and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {MAX_EXPONENT}")
+        return Fraction(text).as_integer_ratio()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational: {value!r}") from exc
 
 
 def parse_rational(value) -> Fraction:

@@ -10,20 +10,26 @@ The quadratic reference scans every disjoint triple, independent of the
 algebraic normal form that decides the identity in the library.  The
 feasibility reference stores every row of a system as 0/1 coefficients and
 checks witnesses with sums over that matrix, independent of the lattice
-passes over implicit rows in the library.
+passes over implicit rows in the library.  The table-load reference reads
+a theory file's table entry by entry (every key through ``parse_mask``, the
+cover check on sets, every value through ``rational_parts`` in mask order),
+independent of the C-level passes and the one parse per distinct value in
+the library.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from qmeasure.coevents import CoEvent
-from qmeasure.core import Event, HistoriesTheory, SampleSpace
+from qmeasure.core import STORAGE_CAP, Event, HistoriesTheory, SampleSpace, SizeCapError, format_mask, parse_mask
 from qmeasure.dynamics import FeasibilityResult, QuadraticReport
-from qmeasure.exact import ComplexRational
+from qmeasure.exact import ComplexRational, rational_parts
+from qmeasure.lattice import over_common_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,6 +130,27 @@ def dense_solve(rows, duals) -> FeasibilityResult:
         y[a] = (-1) ** (bad ^ a).bit_count() * (ONE if m[bad] > 0 else -ONE)
     dense_verify_farkas(rows, y)
     return FeasibilityResult(False, None, None, tuple(y))
+
+
+def per_entry_table_load(n: int, raw: dict) -> tuple[list[int], int]:
+    """``(t, L)`` of the table ``raw`` (the "values" object of a theory file
+    over n histories), read entry by entry, raising what the library raises
+    for a table it refuses."""
+    values = {parse_mask(key): v for key, v in raw.items()}
+    if len(values) < len(raw):
+        twice = Counter(map(parse_mask, raw)).most_common(1)[0][0]
+        raise ValueError(f"table lists event {format_mask(twice)} more than once")
+    if n > STORAGE_CAP:
+        raise SizeCapError(f"table measure over {n} histories exceeds cap {STORAGE_CAP}")
+    size = 1 << n
+    if set(values) != set(range(size)):
+        missing = sorted(set(range(size)) - set(values))[:3]
+        extra = sorted(set(values) - set(range(size)))[:3]
+        raise ValueError(
+            f"table must cover every event exactly once "
+            f"(missing {[hex(m) for m in missing]}, extra {[hex(m) for m in extra]})"
+        )
+    return over_common_denominator([rational_parts(values[m]) for m in range(size)])
 
 
 def amplitude_theory(amplitudes) -> HistoriesTheory:

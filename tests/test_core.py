@@ -29,6 +29,7 @@ from helpers import (
     brute_negligible,
     level_oracle,
     literal_interference,
+    per_entry_table_load,
 )
 
 
@@ -126,6 +127,21 @@ def test_table_requires_every_event():
     space = SampleSpace.of("h", "t")
     with pytest.raises(ValueError):
         HistoriesTheory.from_table(space, {0: 0, 3: 1})
+
+
+def test_table_refuses_two_keys_for_one_event():
+    space = SampleSpace.of("h", "t")
+    values = {0: 0, 1: "1/3", 2: "2/3", 3: 1}
+    for twice in ({**values, "3": 0}, {**values, space.omega: 0}):
+        with pytest.raises(ValueError, match="event 0x3 more than once"):
+            HistoriesTheory.from_table(space, twice)
+
+
+def test_table_refuses_events_of_another_space():
+    space, other = SampleSpace.of("h", "t"), SampleSpace.of("x", "y")
+    values = {0: 0, 1: "1/3", 2: "2/3", other.omega: 1}
+    with pytest.raises(ValueError, match="event 0x3 belongs to a different sample space"):
+        HistoriesTheory.from_table(space, values)
 
 
 def test_table_storage_cap():
@@ -497,6 +513,62 @@ def test_table_of_mixed_spellings_is_held_in_lowest_terms(entries):
     expected_denom = math.lcm(*(v.denominator for v in values))
     assert denom == expected_denom and math.gcd(denom, *t) == 1
     assert t == [v.numerator * (expected_denom // v.denominator) for v in values]
+
+
+_GOOD_VALUES = ("0", "1", "1/2", "2/4", " 1/2 ", "0.5", "5e-1", "-3/7", "007/010", 0, 1, 3)
+_BAD_VALUES = ("junk", "1/0", "1e-99999999", True, False, 1.0, None, [1], {"a": 1})
+# other spellings of 0x3, a negative, a non-hex and an empty key, and
+# events beyond four histories
+_EXTRA_KEYS = ("0x03", "0X3", "3", "-0x1", "zz", "", "0x10", "0x1f")
+
+
+def _outcome(load):
+    try:
+        return load()
+    except Exception as exc:  # the class and message are the outcome
+        return type(exc), str(exc)
+
+
+@st.composite
+def _table_document(draw):
+    """A table over at most four histories from a few values, so that
+    values repeat; now and then with bad values, missing events, and extra
+    or bad keys, in any key order."""
+    now_and_then = st.sampled_from([False, False, True])
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.sampled_from(_GOOD_VALUES), min_size=1, max_size=3))
+    if draw(now_and_then):
+        pool += draw(st.lists(st.sampled_from(_BAD_VALUES), min_size=1, max_size=2))
+    missing = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=2)) if draw(now_and_then) else ()
+    entries = [(hex(m), draw(st.sampled_from(pool))) for m in range(1 << n) if m not in missing]
+    if draw(now_and_then):
+        entries += draw(st.lists(st.tuples(st.sampled_from(_EXTRA_KEYS), st.sampled_from(pool)),
+                                 min_size=1, max_size=2))
+    return n, dict(draw(st.permutations(entries)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_document())
+def test_table_load_matches_the_per_entry_reference(case):
+    n, raw = case
+    doc = {"histories": [f"h{i}" for i in range(n)], "measure": {"type": "table", "values": raw}}
+    assert _outcome(lambda: theory_from_json(doc)._ints) == _outcome(lambda: per_entry_table_load(n, raw))
+
+
+def test_large_table_loads_match_the_per_entry_reference():
+    rng = random.Random(16)
+    weights = [rng.randint(0, 8) for _ in range(16)]
+    table = [0] * (1 << 16)
+    for mask in range(1, 1 << 16):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    classical = {hex(m): str(Fraction(v, sum(weights))) for m, v in enumerate(table)}
+    numerators = rng.sample(range(10**6), 1 << 14)
+    distinct = {hex(m): f"{p}/{rng.randint(1, 16)}" for m, p in enumerate(numerators)}
+    assert len(set(distinct.values())) == 1 << 14
+    for n, raw in ((16, classical), (14, distinct)):
+        doc = {"histories": [f"h{i}" for i in range(n)], "measure": {"type": "table", "values": raw}}
+        assert theory_from_json(doc)._ints == per_entry_table_load(n, raw)
 
 
 def test_theory_json_round_trip_decoherence():
