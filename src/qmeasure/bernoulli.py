@@ -139,11 +139,35 @@ def tail_cutoff(model: BernoulliModel) -> int | None:
 
 
 def tail_rows(model: BernoulliModel):
-    """Yield (heads, point mass, lower-tail mass) rows with exact values."""
-    denom = model.p.denominator**model.n
+    """Yield (heads, point mass, lower-tail mass) rows from one pass, both
+    masses spelled as ``format_rational`` spells them ("p/q" in lowest terms,
+    or "p").
+
+    A mass is x / q**n (p = a/q) and every prime of gcd(x, q**n) divides q,
+    so the gcd is stripped off x by small gcds, against q and then against
+    the square of the last factor (a high valuation takes a few steps), and
+    capped at q**n.  Each reduced denominator is spelled once.
+    """
+    q = model.p.denominator
+    denom = q**model.n
+    spelled: dict[int, str] = {}  # gcd -> "/reduced denominator", "" for an integer
+
+    def spell(x: int) -> str:
+        if not x:
+            return "0"
+        g, rest, h = 1, x, math.gcd(x, q)
+        while h > 1:
+            g *= h
+            rest //= h
+            h = math.gcd(rest, h * h)
+        g = math.gcd(g, denom)
+        if g not in spelled:
+            spelled[g] = f"/{denom // g}" if g != denom else ""
+        return f"{x // g}{spelled[g]}"
+
     previous = 0
     for m, running in enumerate(_tail_numerators(model)):
-        yield m, Fraction(running - previous, denom), Fraction(running, denom)
+        yield m, spell(running - previous), spell(running)
         previous = running
 
 

@@ -4,6 +4,8 @@ reproduce the named worked numbers."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -22,7 +24,11 @@ def _common(parser: argparse.ArgumentParser) -> None:
                         help="output format (default: human table)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after:
+    parsing keeps no state between calls, and ``append`` options copy their
+    default list."""
     parser = argparse.ArgumentParser(
         prog="qmeasure",
         description="exact analyses of finite quantum measure theories and co-events",
@@ -202,16 +208,38 @@ def _cmd_partition(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _exact_output():
+    """Lift Python's limit on int/str conversions (4,300 digits, since 3.10.7
+    and 3.11) while exact results are spelled, and restore it after: a coin
+    mass or count can run to any size.  Inputs are parsed under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # older 3.10: no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_coin(args) -> int:
     model = be.BernoulliModel(args.n, parse_rational(args.p), parse_rational(args.eps))
+    with _exact_output():
+        _coin_output(args, model)
+    return 0
+
+
+def _coin_output(args, model) -> None:
     if args.action == "h-epsilon":
         cutoff = be.tail_cutoff(model)
         _emit(args, [str(cutoff) if cutoff is not None else "none"], {"h_epsilon": cutoff})
-        return 0
+        return
     if args.action == "straddle":
         size = be.straddle_set_cardinality(model)
         _emit(args, [str(size)], {"cardinality": size})
-        return 0
+        return
     if args.action == "even-odd":
         witness = be.even_odd_witness(model)
         payload = {
@@ -229,16 +257,14 @@ def _cmd_coin(args) -> int:
         }
         lines = [f"{key} = {value}" for key, value in payload.items()]
         _emit(args, lines, payload)
-        return 0
+        return
     # tail: one (heads count, point mass, lower-tail mass) row per count; the
     # CSV streams, so a large n never holds every row's text at once
-    rows = ((heads, format_rational(point), format_rational(tail))
-            for heads, point, tail in be.tail_rows(model))
+    rows = be.tail_rows(model)
     if args.format == "json":
         _emit(args, (), [{"heads": h, "point": pt, "tail": t} for h, pt, t in rows])
     else:
         _emit(args, itertools.chain(["H,P_N,P_L"], (f"{h},{pt},{t}" for h, pt, t in rows)), None)
-    return 0
 
 
 def _cmd_feasibility(args) -> int:
@@ -291,19 +317,20 @@ def _cmd_hypothesis(args) -> int:
             raise ValueError("pass --sequence, or --n to simulate")
         p_true = parse_rational(args.p) if args.p else p0
         sequence = be.simulate(args.n, p_true, args.seed)
-    result = be.hypothesis_test(sequence, p0, eps)
-    payload = {
-        "decision": result.decision,
-        "heads": result.heads,
-        "n": sequence.n,
-        "cumulative": format_rational(result.cumulative),
-        "eps": format_rational(result.eps),
-    }
-    lines = [
-        f"{result.decision} (heads {result.heads}/{sequence.n}, "
-        f"lower-tail mass {format_rational(result.cumulative)}, eps {format_rational(eps)})"
-    ]
-    _emit(args, lines, payload)
+    with _exact_output():
+        result = be.hypothesis_test(sequence, p0, eps)
+        payload = {
+            "decision": result.decision,
+            "heads": result.heads,
+            "n": sequence.n,
+            "cumulative": format_rational(result.cumulative),
+            "eps": format_rational(result.eps),
+        }
+        lines = [
+            f"{result.decision} (heads {result.heads}/{sequence.n}, "
+            f"lower-tail mass {format_rational(result.cumulative)}, eps {format_rational(eps)})"
+        ]
+        _emit(args, lines, payload)
     return 0
 
 

@@ -29,7 +29,9 @@ event is held as integers over one common denominator and transformed by
 ``qmeasure.lattice``.  A table is stored only in that form, each distinct
 value parsed once; the weights and decoherence forms give the Moebius
 transform of their measure directly (singletons and pairs), so their table
-is one zeta transform.  ``Fraction`` appears only where values leave.
+is one zeta transform.  The decoherence matrix is also held as integer rows
+over one common denominator, which point queries and validation sum.
+``Fraction`` and ``ComplexRational`` appear only where values leave.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat
 from operator import itemgetter
 
 from . import lattice
-from .exact import CZERO, ComplexRational, format_rational, parse_rational, rational_parts
+from .exact import ComplexRational, format_rational, parse_rational, rational_parts
 
 #: Brute-force scans over all 2**n events are refused above this size unless
 #: the caller passes ``override_cap=True``.
@@ -282,7 +284,11 @@ class TableMeasure:
 
 
 class DecoherenceMeasure:
-    """Hermitian matrix over history pairs; measure = block sums of entries."""
+    """Hermitian matrix over history pairs; measure = block sums of entries.
+
+    The entries are also held as ``ints = (re, im, L)``: integer rows with
+    D_ij = (re[i][j] + i im[i][j]) / L over one common denominator, which
+    every block sum reads."""
 
     kind = "decoherence"
 
@@ -295,6 +301,12 @@ class DecoherenceMeasure:
                 if not isinstance(entry, ComplexRational):
                     raise TypeError("decoherence entries must be ComplexRational")
         self.matrix = rows
+        entries = [entry for row in rows for entry in row]
+        t, denom = lattice.over_common_denominator(
+            [e.real.as_integer_ratio() for e in entries]
+            + [e.imag.as_integer_ratio() for e in entries])
+        int_rows = [t[k * n:(k + 1) * n] for k in range(2 * n)]
+        self.ints = int_rows[:n], int_rows[n:], denom
 
 
 class WeightsMeasure:
@@ -427,16 +439,13 @@ class HistoriesTheory:
             return total
         # decoherence: block sum over the event, which must come out real
         members = [i for i in range(self.space.n) if mask >> i & 1]
-        acc = CZERO
-        for i in members:
-            for j in members:
-                acc = acc + m.matrix[i][j]
-        if acc.imag != 0:
+        re, im, denom = m.ints
+        if _block_sum(im, members, members):
             raise ValueError(
                 "decoherence block sum has nonzero imaginary part; "
                 "the matrix is not Hermitian (run validate)"
             )
-        return acc.real
+        return Fraction(_block_sum(re, members, members), denom)
 
     def mu(self, event: Event) -> Fraction:
         """The exact measure of an event."""
@@ -449,15 +458,11 @@ class HistoriesTheory:
         self._check_event(y)
         if self.kind != "decoherence":
             raise ValueError("off-diagonal values need a decoherence-form theory")
-        acc = CZERO
-        matrix = self.measure.matrix
-        for i in range(self.space.n):
-            if not x.mask >> i & 1:
-                continue
-            for j in range(self.space.n):
-                if y.mask >> j & 1:
-                    acc = acc + matrix[i][j]
-        return acc
+        xs = [i for i in range(self.space.n) if x.mask >> i & 1]
+        ys = [j for j in range(self.space.n) if y.mask >> j & 1]
+        re, im, denom = self.measure.ints
+        return ComplexRational(Fraction(_block_sum(re, xs, ys), denom),
+                               Fraction(_block_sum(im, xs, ys), denom))
 
     def _lattice(self, override_cap: bool = False) -> tuple[list[int], int]:
         """The measure of every event as ``(t, L)`` with mu(A) = t[A] / L over
@@ -480,21 +485,19 @@ class HistoriesTheory:
             coeffs = [ZERO] * (1 << n)
             for i, w in enumerate(m.weights):
                 coeffs[1 << i] = w
-        else:
-            blocks = [CZERO] * (1 << n)
-            for i in range(n):
-                blocks[1 << i] = m.matrix[i][i]
-            for i, j in combinations(range(n), 2):
-                blocks[1 << i | 1 << j] = m.matrix[i][j] + m.matrix[j][i]
-            if any(c.imag for c in blocks):
-                imag, _ = lattice.over_common_denominator([c.imag.as_integer_ratio() for c in blocks])
-                bad = next(mask for mask, v in enumerate(lattice.zeta(imag, n)) if v)
-                raise ValueError(
-                    f"measure of event {hex(bad)} is not real; "
-                    "the decoherence matrix is not Hermitian (run validate)"
-                )
-            coeffs = [c.real for c in blocks]
-        return lattice.over_common_denominator([c.as_integer_ratio() for c in coeffs])
+            return lattice.over_common_denominator([c.as_integer_ratio() for c in coeffs])
+        re, im, denom = m.ints
+        real, imag = [0] * (1 << n), [0] * (1 << n)
+        for i, j in product(range(n), repeat=2):  # D_ii lands on {i}, D_ij and D_ji on {i, j}
+            real[1 << i | 1 << j] += re[i][j]
+            imag[1 << i | 1 << j] += im[i][j]
+        if any(imag):
+            bad = next(mask for mask, v in enumerate(lattice.zeta(imag, n)) if v)
+            raise ValueError(
+                f"measure of event {hex(bad)} is not real; "
+                "the decoherence matrix is not Hermitian (run validate)"
+            )
+        return lattice.over_common_denominator(list(zip(real, repeat(denom))))
 
     def full_table(self, override_cap: bool = False) -> list[Fraction]:
         """The measure of every event, indexed by mask, as a new list (capped)."""
@@ -646,18 +649,17 @@ class HistoriesTheory:
         m = self.measure
 
         if m.kind == "decoherence":
+            re, im, denom = m.ints
             for i in range(n):
                 for j in range(n):
-                    if m.matrix[i][j] != m.matrix[j][i].conjugate():
+                    if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
                         violations.append(AxiomViolation(
                             "hermiticity", f"({i},{j})",
                             "entry is not the conjugate of its transpose",
                         ))
-            total = CZERO
-            for row in m.matrix:
-                for entry in row:
-                    total = total + entry
-            if total.imag != 0 or total.real != 1:
+            total_re, total_im = sum(map(sum, re)), sum(map(sum, im))
+            if total_im or total_re != denom:
+                total = ComplexRational(Fraction(total_re, denom), Fraction(total_im, denom))
                 message = f"D(Omega,Omega) = {total!r}, expected 1"
                 if strict_normalization:
                     violations.append(AxiomViolation("normalization", "Omega", message))
@@ -711,6 +713,11 @@ class HistoriesTheory:
 
         valid = not violations
         return ValidationReport(valid, tuple(violations), tuple(warnings), null_events)
+
+
+def _block_sum(rows: list[list[int]], xs: list[int], ys: list[int]) -> int:
+    """The sum of ``rows[i][j]`` over i in xs and j in ys."""
+    return sum(sum(map(row.__getitem__, ys)) for row in map(rows.__getitem__, xs))
 
 
 def _validate_partition_blocks(space: SampleSpace, blocks) -> None:

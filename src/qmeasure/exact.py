@@ -99,6 +99,3 @@ class ComplexRational:
 
     def __repr__(self) -> str:
         return f"({self.real}{'+' if self.imag >= 0 else ''}{self.imag}i)"
-
-
-CZERO = ComplexRational(Fraction(0), Fraction(0))

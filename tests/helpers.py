@@ -14,7 +14,9 @@ passes over implicit rows in the library.  The table-load reference reads
 a theory file's table entry by entry (every key through ``parse_mask``, the
 cover check on sets, every value through ``rational_parts`` in mask order),
 independent of the C-level passes and the one parse per distinct value in
-the library.
+the library.  The decoherence references add ``ComplexRational`` matrix
+entries one at a time, independent of the integer rows over one common
+denominator that the library sums.
 """
 
 from __future__ import annotations
@@ -174,6 +176,29 @@ def amplitude_mu_oracle(amplitudes, mask: int) -> Fraction:
             re += a.real
             im += a.imag
     return re * re + im * im
+
+
+def block_sum_reference(matrix, xmask: int, ymask: int) -> ComplexRational:
+    """D(X, Y): the entries in rows X and columns Y of a ComplexRational
+    matrix, added one at a time."""
+    acc = ComplexRational(ZERO, ZERO)
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if xmask >> i & 1 and ymask >> j & 1:
+                acc = acc + entry
+    return acc
+
+
+def decoherence_axioms_reference(matrix) -> tuple[list[str], str | None]:
+    """The witnesses "(i,j)" of the entries that are not the conjugate of
+    their transpose, in row order, and the normalization message when
+    D(Omega, Omega) is not 1 (None when it is)."""
+    n = len(matrix)
+    broken = [f"({i},{j})" for i in range(n) for j in range(n)
+              if matrix[i][j] != matrix[j][i].conjugate()]
+    full = (1 << n) - 1
+    total = block_sum_reference(matrix, full, full)
+    return broken, None if total == ComplexRational(ONE, ZERO) else f"D(Omega,Omega) = {total!r}, expected 1"
 
 
 def brute_negligible(table: list[Fraction], mask: int, eps: Fraction) -> bool:

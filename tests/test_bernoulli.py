@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeasure import bernoulli as be
 from qmeasure import coevents as cv
-from qmeasure.core import SizeCapError
+from qmeasure.core import SizeCapError, format_rational
 
 from helpers import direct_tail_cutoff, direct_tail_numerators
 
@@ -116,9 +116,10 @@ def test_tail_rows():
     model = fair(4)
     rows = list(be.tail_rows(model))
     assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
-    assert rows[2][1] == Fraction(6, 16)
-    assert rows[-1][2] == 1
-    assert all(rows[i][2] == sum(r[1] for r in rows[: i + 1]) for i in range(5))
+    assert rows[2][1] == "3/8"
+    assert rows[-1][2] == "1"
+    assert all(Fraction(rows[i][2]) == sum(Fraction(r[1]) for r in rows[: i + 1])
+               for i in range(5))
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +128,11 @@ def test_tail_rows():
 
 
 def _direct_rows(n, p):
+    """The tail rows spelled from direct sums: ``format_rational`` of each
+    mass as a ``Fraction`` over q**n."""
     denom = p.denominator**n
     tails = direct_tail_numerators(n, p)
-    return [(m, Fraction(t - prev, denom), Fraction(t, denom))
+    return [(m, format_rational(Fraction(t - prev, denom)), format_rational(Fraction(t, denom)))
             for m, (prev, t) in enumerate(zip([0] + tails, tails))]
 
 
@@ -153,7 +156,7 @@ def coin_models(draw):
 def test_one_pass_matches_direct_sums(model):
     n, p, eps = model.n, model.p, model.eps
     rows = _direct_rows(n, p)
-    assert [be.cumulative(model, m) for m in range(n + 1)] == [row[2] for row in rows]
+    assert [format_rational(be.cumulative(model, m)) for m in range(n + 1)] == [row[2] for row in rows]
     assert list(be.tail_rows(model)) == rows
     assert be.tail_cutoff(model) == direct_tail_cutoff(n, p, eps)[0]
 
@@ -176,7 +179,26 @@ def test_one_pass_matches_direct_sums(model):
         assert witness.cross_count == half_greater**2
 
 
-@pytest.mark.parametrize("p", [HALF, Fraction(1, 3)])
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from((1, 6, 30, 60)), st.integers(1, 60)).flatmap(
+        lambda q: st.tuples(st.integers(0, q), st.just(q))),  # p = 0 and p = 1 included
+    st.integers(1, 80),
+)
+# a mass whose 2-adic valuation exceeds that of q**n: 16/216 at p = 5/6, n = 3
+@example((5, 6), 3)
+@example((3, 10), 3)
+def test_tail_rows_spell_each_mass_in_lowest_terms(ratio, n):
+    p = Fraction(*ratio)
+    assert list(be.tail_rows(be.BernoulliModel(n, p, MILLI))) == _direct_rows(n, p)
+
+
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 3), Fraction(5, 6)])
+def test_tail_rows_spelling_at_1000_tosses(p):
+    assert list(be.tail_rows(be.BernoulliModel(1000, p, MILLI))) == _direct_rows(1000, p)
+
+
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 3), Fraction(5, 6)])
 def test_one_pass_matches_direct_sums_at_2000_tosses(p):
     n = 2000
     assert list(be.tail_rows(be.BernoulliModel(n, p, MILLI))) == _direct_rows(n, p)

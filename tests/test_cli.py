@@ -1,8 +1,12 @@
+import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from qmeasure import bernoulli as be
+from qmeasure import cli
 from qmeasure.checks import coin_theory, three_path_theory
 from qmeasure.cli import main
 from qmeasure.core import theory_to_json
@@ -258,3 +262,74 @@ def test_unknown_command_exits_one(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
 
+
+
+#: sha256 of ``coin tail --n 1000 --p 1/3 --eps 1/100``, recorded when every
+#: row was formatted from a ``Fraction``.
+TAIL_1000_THIRD_SHA256 = "57e7b56162918578c2ceff4b257e3940ddcfb056befb0652042f5eecf211c633"
+
+
+def test_coin_tail_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "coin", "tail", "--n", "1000", "--p", "1/3", "--eps", "1/100")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TAIL_1000_THIRD_SHA256
+
+
+def test_coin_outputs_print_beyond_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "coin", "straddle", "--n", "14400", "--p", "1/2", "--eps", "1/100")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    cardinality = be.straddle_set_cardinality(be.BernoulliModel(14400, Fraction(1, 2), Fraction(1, 100)))
+    assert len(out) - 1 > 4300  # digits and the newline
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{cardinality}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+    code, out, err = run(capsys, "coin", "tail", "--n", "900", "--p", "1/100000", "--eps", "1/100")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    lines = out.splitlines()
+    assert len(lines) == 902
+    assert lines[-1].endswith(",1")
+
+    code, out, err = run(capsys, "hypothesis", "--n", "20000", "--p0", "1/3", "--eps", "1/100",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    assert len(json.loads(out)["cumulative"]) > 4300
+
+
+def test_input_parsing_keeps_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    # without the limit this eps parses, and h-epsilon prints "none"
+    code, _, err = run(capsys, "coin", "h-epsilon", "--n", "10", "--eps", "1/" + "7" * (limit + 1))
+    assert code == 1
+    assert "not a rational" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, three_path_file):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        ("measure", "--theory", three_path_file, "--mu", "0x5", "--mu", "0x3"),
+        ("measure", "--theory", three_path_file, "--mu", "0x2"),
+        ("primitives", "--theory", three_path_file, "--format", "json"),
+        ("coin", "no-such-action", "--n", "4", "--eps", "1/4"),
+        ("coin", "straddle", "--n", "10", "--eps", "1/1000"),
+        ("measure", "--help"),
+        ("coin", "tail", "--n", "5", "--p", "1/3", "--eps", "1/100", "--format", "json"),
+        ("--help",),
+        ("hypothesis", "--n", "30", "--p0", "1/2", "--eps", "1/100", "--seed", "3"),
+        ("measure", "--theory", three_path_file, "--interference", "0x2,0x4"),
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0]
+    # the repeated --mu of the first call does not carry into the second
+    assert shared[1][1].count("mu ") == 1
+    assert "mu" not in shared[-1][1]

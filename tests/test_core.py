@@ -26,7 +26,9 @@ from qmeasure.exact import ComplexRational
 from helpers import (
     amplitude_mu_oracle,
     amplitude_theory,
+    block_sum_reference,
     brute_negligible,
+    decoherence_axioms_reference,
     level_oracle,
     literal_interference,
     per_entry_table_load,
@@ -182,6 +184,63 @@ def test_decoherence_mu_rejects_non_hermitian():
     report = theory.validate()
     assert not report.valid
     assert any(v.axiom == "hermiticity" for v in report.violations)
+
+
+complex_entries = st.tuples(
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+).map(lambda parts: ComplexRational(*parts))
+
+
+@st.composite
+def decoherence_matrices(draw, max_n=6):
+    """Square ComplexRational matrices of up to six histories: arbitrary
+    ones (mostly not Hermitian), Hermitian ones, and ones whose imaginary
+    parts all vanish; about half with real parts summing to one."""
+    n = draw(st.integers(1, max_n))
+    matrix = [[draw(complex_entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "hermitian", "real"]))
+    for i in range(n):
+        for j in range(n):
+            if shape == "real":
+                matrix[i][j] = ComplexRational(matrix[i][j].real, Fraction(0))
+            elif shape == "hermitian" and i >= j:
+                matrix[i][j] = (matrix[j][i].conjugate() if i > j
+                                else ComplexRational(matrix[i][i].real, Fraction(0)))
+    if draw(st.booleans()):
+        total = sum((entry.real for row in matrix for entry in row), Fraction(0))
+        matrix[0][0] = ComplexRational(matrix[0][0].real + 1 - total, matrix[0][0].imag)
+    return matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(decoherence_matrices(), st.data())
+def test_decoherence_queries_match_the_block_sum_reference(matrix, data):
+    n = len(matrix)
+    space = SampleSpace(tuple(f"h{i}" for i in range(n)))
+    theory = HistoriesTheory.from_decoherence(space, matrix)
+    for mask in range(1 << n):
+        want = block_sum_reference(matrix, mask, mask)
+        if want.imag:
+            with pytest.raises(ValueError) as info:
+                theory.mu_mask(mask)
+            assert str(info.value) == ("decoherence block sum has nonzero imaginary part; "
+                                       "the matrix is not Hermitian (run validate)")
+        else:
+            assert theory.mu_mask(mask) == want.real
+    for _ in range(8):
+        x, y = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+        got = theory.decoherence_value(space.event_from_mask(x), space.event_from_mask(y))
+        want = block_sum_reference(matrix, x, y)
+        assert (got, repr(got)) == (want, repr(want))
+    broken, normalization = decoherence_axioms_reference(matrix)
+    for strict in (True, False):
+        report = theory.validate(strict_normalization=strict)
+        assert [v.witness for v in report.violations if v.axiom == "hermiticity"] == broken
+        messages = [v.detail for v in report.violations if v.axiom == "normalization"]
+        expected = [normalization] if normalization else []
+        assert messages == (expected if strict else [])
+        assert [w for w in report.warnings if w.startswith("D(")] == ([] if strict else expected)
 
 
 def test_decoherence_value_additivity_exhaustive():

@@ -14,12 +14,13 @@ from qmeasure import dynamics as dy
 from qmeasure import lattice
 from qmeasure.checks import random_classical_theory
 from qmeasure.core import ENUM_CAP, HistoriesTheory, SampleSpace, SizeCapError
-from qmeasure.exact import CZERO, ComplexRational
+from qmeasure.exact import ComplexRational
 
 from helpers import (
     ExactSimplex,
     amplitude_mu_oracle,
     amplitude_theory,
+    block_sum_reference,
     brute_minimal_nonnegligible,
     brute_negligible,
     dense_rows,
@@ -178,15 +179,6 @@ def test_table_form_against_oracles(values, eps):
     _check_against_oracles(theory, eps)
 
 
-def _block_sum(matrix, mask):
-    members = [i for i in range(len(matrix)) if mask >> i & 1]
-    acc = CZERO
-    for i in members:
-        for j in members:
-            acc = acc + matrix[i][j]
-    return acc
-
-
 def test_asymmetric_real_parts_with_real_block_sums():
     # not Hermitian, but every D_ij + D_ji is real, so every block sum is
     c = ComplexRational.of
@@ -198,7 +190,7 @@ def test_asymmetric_real_parts_with_real_block_sums():
     theory = HistoriesTheory.from_decoherence(_space(3), matrix)
     table = theory.full_table()
     for mask in range(8):
-        acc = _block_sum(matrix, mask)
+        acc = block_sum_reference(matrix, mask, mask)
         assert acc.imag == 0 and table[mask] == acc.real
     assert theory.level() == level_oracle(theory) == 2
     report = theory.validate()
@@ -215,7 +207,7 @@ def test_non_real_block_sums_name_the_first_event(entries, first):
     matrix = [[c(1 if i == j else 0, 0) for j in range(3)] for i in range(3)]
     for (i, j), (re, im) in entries.items():
         matrix[i][j] = c(re, im)
-    expected = next(hex(m) for m in range(8) if _block_sum(matrix, m).imag != 0)
+    expected = next(hex(m) for m in range(8) if block_sum_reference(matrix, m, m).imag != 0)
     assert expected == first
     theory = HistoriesTheory.from_decoherence(_space(3), matrix)
     message = f"measure of event {first} is not real"
