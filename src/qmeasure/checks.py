@@ -278,7 +278,7 @@ def _small_scale_even_odd_ok() -> tuple[bool, str]:
         return False, "eight-toss threshold 3/256 report is wrong"
     theory8 = be.explicit_theory(model8)
     space8 = theory8.space
-    weights = theory8.measure.weights
+    weights = [theory8.mu_mask(1 << i) for i in range(space8.n)]
     if len(set(weights)) != 1:
         return False, "product theory is not exchangeable"
     # all events below cardinality three are ruled out, exhaustively
@@ -689,15 +689,7 @@ def check_interference_hierarchy() -> CheckResult:
         for _ in range(10):
             n = rng.randint(2, 5)
             classical = random_classical_theory(rng, n, table_form=False)
-            diag = [
-                [
-                    ComplexRational(
-                        classical.measure.weights[i] if i == j else Fraction(0), Fraction(0)
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
+            diag = [[[classical.mu_mask(1 << i) if i == j else 0, 0] for j in range(n)] for i in range(n)]
             diag_theory = HistoriesTheory.from_decoherence(classical.space, diag)
             if diag_theory.level() != 1:
                 return False, "diagonal decoherence functional not level one"

@@ -114,98 +114,102 @@ def _parse_block_list(space, text: str):
 
 def _cmd_validate(args) -> int:
     theory = load_theory(args.theory)
-    report = theory.validate(strict_normalization=not args.relax_normalization)
-    payload = {
-        "valid": report.valid,
-        "violations": [
-            {"axiom": v.axiom, "witness": v.witness, "detail": v.detail}
-            for v in report.violations
-        ],
-        "warnings": list(report.warnings),
-        "null_events": (
-            [format_mask(m) for m in report.null_events]
-            if report.null_events is not None else None
-        ),
-    }
-    _emit(args, [report.summary()], payload)
+    with _exact_output():
+        report = theory.validate(strict_normalization=not args.relax_normalization)
+        payload = {
+            "valid": report.valid,
+            "violations": [
+                {"axiom": v.axiom, "witness": v.witness, "detail": v.detail}
+                for v in report.violations
+            ],
+            "warnings": list(report.warnings),
+            "null_events": (
+                [format_mask(m) for m in report.null_events]
+                if report.null_events is not None else None
+            ),
+        }
+        _emit(args, [report.summary()], payload)
     return 0 if report.valid else 1
 
 
 def _cmd_measure(args) -> int:
     theory = load_theory(args.theory)
     space = theory.space
+    events = [space.parse_event(text) for text in args.mu]
+    groups = [_parse_block_list(space, group) for group in args.interference]
+    if not (events or groups or args.level):
+        raise ValueError("nothing to compute: pass --mu, --interference, or --level")
     lines = []
     payload: dict = {}
-    if args.mu:
-        payload["mu"] = {}
-        for text in args.mu:
-            event = space.parse_event(text)
-            value = theory.mu(event)
-            lines.append(f"mu {event.hex_mask} {event.label()} = {format_rational(value)}")
-            payload["mu"][event.hex_mask] = format_rational(value)
-    if args.interference:
-        payload["interference"] = []
-        for group in args.interference:
-            events = _parse_block_list(space, group)
-            value = theory.interference(*events)
-            keys = ",".join(e.hex_mask for e in events)
-            lines.append(f"interference[{len(events)}] {keys} = {format_rational(value)}")
-            payload["interference"].append({"events": keys, "value": format_rational(value)})
-    if args.level:
-        value = theory.level(override_cap=args.override_cap)
-        lines.append(f"level = {value}")
-        payload["level"] = value
-    if not lines:
-        raise ValueError("nothing to compute: pass --mu, --interference, or --level")
-    _emit(args, lines, payload)
+    with _exact_output():
+        if events:
+            payload["mu"] = {}
+            for event in events:
+                value = format_rational(theory.mu(event))
+                lines.append(f"mu {event.hex_mask} {event.label()} = {value}")
+                payload["mu"][event.hex_mask] = value
+        if groups:
+            payload["interference"] = []
+            for group in groups:
+                value = format_rational(theory.interference(*group))
+                keys = ",".join(e.hex_mask for e in group)
+                lines.append(f"interference[{len(group)}] {keys} = {value}")
+                payload["interference"].append({"events": keys, "value": value})
+        if args.level:
+            level = theory.level(override_cap=args.override_cap)
+            lines.append(f"level = {level}")
+            payload["level"] = level
+        _emit(args, lines, payload)
     return 0
 
 
 def _cmd_primitives(args) -> int:
     theory = load_theory(args.theory)
     eps = parse_rational(args.eps)
-    prims = cv.primitives(theory, eps, override_cap=args.override_cap)
-    lines = [
-        f"{phi.dual_event().hex_mask} {phi.dual_event().label()}" for phi in prims
-    ]
-    payload = [cv.coevent_to_json(phi) for phi in prims]
-    _emit(args, lines, payload)
+    with _exact_output():
+        prims = cv.primitives(theory, eps, override_cap=args.override_cap)
+        lines = [
+            f"{phi.dual_event().hex_mask} {phi.dual_event().label()}" for phi in prims
+        ]
+        payload = [cv.coevent_to_json(phi) for phi in prims]
+        _emit(args, lines, payload)
     return 0
 
 
 def _cmd_partition(args) -> int:
     theory = load_theory(args.theory)
     eps = parse_rational(args.eps)
-    if args.principle:
-        partition, fat = pt.principle_classical_partition(
-            theory, eps, override_cap=args.override_cap
-        )
-        lines = ["blocks: " + " ".join(b.hex_mask for b in partition.blocks)]
-        lines += [f"fat dual: {d.hex_mask} {d.label()}" for d in fat.fat_duals]
-        lines += [f"uncovered: {s.hex_mask} {s.label()}" for s in fat.uncovered]
-        payload = {
-            "blocks": pt.partition_to_json(partition),
-            "fat_duals": [d.hex_mask for d in fat.fat_duals],
-            "classes": (
-                [[d.hex_mask for d in cls] for cls in fat.classes]
-                if fat.classes is not None else None
-            ),
-            "class_sizes": list(fat.class_sizes),
-            "uncovered": [s.hex_mask for s in fat.uncovered],
-        }
-        _emit(args, lines, payload)
+    with _exact_output():
+        if args.principle:
+            partition, fat = pt.principle_classical_partition(
+                theory, eps, override_cap=args.override_cap
+            )
+            lines = ["blocks: " + " ".join(b.hex_mask for b in partition.blocks)]
+            lines += [f"fat dual: {d.hex_mask} {d.label()}" for d in fat.fat_duals]
+            lines += [f"uncovered: {s.hex_mask} {s.label()}" for s in fat.uncovered]
+            payload = {
+                "blocks": pt.partition_to_json(partition),
+                "fat_duals": [d.hex_mask for d in fat.fat_duals],
+                "classes": (
+                    [[d.hex_mask for d in cls] for cls in fat.classes]
+                    if fat.classes is not None else None
+                ),
+                "class_sizes": list(fat.class_sizes),
+                "uncovered": [s.hex_mask for s in fat.uncovered],
+            }
+            _emit(args, lines, payload)
+            return 0
+        if not args.blocks or not args.check:
+            raise ValueError("pass --principle, or both --blocks and --check")
+        partition = pt.Partition.of_blocks(theory.space, _parse_block_list(theory.space, args.blocks))
+        if args.check == "decoherent":
+            verdict = pt.is_decoherent(theory, partition)
+        elif args.check == "separable":
+            verdict = pt.is_preclusively_separable(theory, partition, override_cap=args.override_cap)
+        else:
+            verdict = pt.is_classical_wrt_M(theory, partition, eps, override_cap=args.override_cap)
+        _emit(args, [f"{args.check}: {verdict}"], {args.check: verdict})
         return 0
-    if not args.blocks or not args.check:
-        raise ValueError("pass --principle, or both --blocks and --check")
-    partition = pt.Partition.of_blocks(theory.space, _parse_block_list(theory.space, args.blocks))
-    if args.check == "decoherent":
-        verdict = pt.is_decoherent(theory, partition)
-    elif args.check == "separable":
-        verdict = pt.is_preclusively_separable(theory, partition, override_cap=args.override_cap)
-    else:
-        verdict = pt.is_classical_wrt_M(theory, partition, eps, override_cap=args.override_cap)
-    _emit(args, [f"{args.check}: {verdict}"], {args.check: verdict})
-    return 0
 
 
 @contextlib.contextmanager
@@ -272,37 +276,38 @@ def _cmd_feasibility(args) -> int:
     space = theory.space
     duals = _parse_block_list(space, args.duals)
     candidates = [cv.CoEvent.from_dual(event) for event in duals]
-    system = dy.build_feasibility(theory, candidates, override_cap=args.override_cap)
-    if args.action == "build":
-        # the text streams: only the JSON payload draws every row at once
-        rows = ((format_mask(mask), *system.row(mask)) for mask in system.rows)
-        lines = (f"{e}: [{''.join(map(str, c))}] = {format_rational(b)}" for e, c, b in rows)
-        payload = {
-            "coevents": [cv.coevent_to_json(phi) for phi in system.coevents],
-            "rows": [{"event": e, "coefficients": list(c), "rhs": format_rational(b)}
-                     for e, c, b in rows],
-        } if args.format == "json" else None
-        _emit(args, lines, payload)
+    with _exact_output():
+        system = dy.build_feasibility(theory, candidates, override_cap=args.override_cap)
+        if args.action == "build":
+            # the text streams: only the JSON payload draws every row at once
+            rows = ((format_mask(mask), *system.row(mask)) for mask in system.rows)
+            lines = (f"{e}: [{''.join(map(str, c))}] = {format_rational(b)}" for e, c, b in rows)
+            payload = {
+                "coevents": [cv.coevent_to_json(phi) for phi in system.coevents],
+                "rows": [{"event": e, "coefficients": list(c), "rhs": format_rational(b)}
+                         for e, c, b in rows],
+            } if args.format == "json" else None
+            _emit(args, lines, payload)
+            return 0
+        if args.action == "solve":
+            result = dy.solve_feasibility(system)
+            payload = dy.feasibility_result_to_json(system, result)
+            lines = [payload["status"]]
+            if result.feasible:
+                lines += [
+                    f"  p[{mask}] = {value}"
+                    for mask, value in sorted(payload["assignment"].items())
+                ]
+            else:
+                lines.append(f"  certificate: {payload['certificate']}")
+            _emit(args, lines, payload)
+            return 0
+        if not args.phi:
+            raise ValueError("max needs --phi")
+        phi = cv.CoEvent.from_dual(space.parse_event(args.phi))
+        value = dy.max_probability(system, phi)
+        _emit(args, [format_rational(value)], {"max_probability": format_rational(value)})
         return 0
-    if args.action == "solve":
-        result = dy.solve_feasibility(system)
-        payload = dy.feasibility_result_to_json(system, result)
-        lines = [payload["status"]]
-        if result.feasible:
-            lines += [
-                f"  p[{mask}] = {value}"
-                for mask, value in sorted(payload["assignment"].items())
-            ]
-        else:
-            lines.append(f"  certificate: {payload['certificate']}")
-        _emit(args, lines, payload)
-        return 0
-    if not args.phi:
-        raise ValueError("max needs --phi")
-    phi = cv.CoEvent.from_dual(space.parse_event(args.phi))
-    value = dy.max_probability(system, phi)
-    _emit(args, [format_rational(value)], {"max_probability": format_rational(value)})
-    return 0
 
 
 def _cmd_hypothesis(args) -> int:

@@ -8,16 +8,18 @@ bitmasks over the canonical history order, so ring operations are single
 integer operations and all outputs can be sorted by ascending mask for
 determinism.
 
-The measure is supplied in one of three forms:
+The measure is stored in one of two forms:
 
-* ``table``: an explicit map from every event to a nonnegative rational;
-* ``decoherence``: a Hermitian matrix ``D`` over history pairs with exact
+* ``table``: an explicit map from every event to a rational, held as
+  integers over one common denominator, each distinct value parsed once;
+* ``pair``: a Hermitian matrix ``D`` over history pairs with exact
   complex-rational entries, the measure of an event being the (real) sum of
-  the matrix block over the event;
-* ``weights``: per-history nonnegative rationals defining an additive
-  (classical, level-one) measure.  This form exists so that large repeated
-  trial spaces (thousands of histories) can be analysed without a table of
-  2**n entries; additivity is part of the constructor's contract.
+  the matrix block over the event.  Its diagonal and its nonzero
+  off-diagonal entries are held as integers over one common denominator.
+  A decoherence functional fills it from a matrix; per-history weights fill
+  only the real diagonal, an additive (classical, level-one) measure held
+  in O(n), so that repeated trial spaces of thousands of histories need no
+  table of 2**n entries.
 
 Interference is measured by the inclusion-exclusion hierarchy ``I_k``; a
 theory is of level ``k`` when ``I_{k+1}`` vanishes on all disjoint tuples,
@@ -26,12 +28,11 @@ is level one; measures arising from unitary quantum theories are level two.
 
 Scans of the whole event lattice run on integers: the measure of every
 event is held as integers over one common denominator and transformed by
-``qmeasure.lattice``.  A table is stored only in that form, each distinct
-value parsed once; the weights and decoherence forms give the Moebius
-transform of their measure directly (singletons and pairs), so their table
-is one zeta transform.  The decoherence matrix is also held as integer rows
-over one common denominator, which point queries and validation sum.
-``Fraction`` and ``ComplexRational`` appear only where values leave.
+``qmeasure.lattice``.  The pair form gives the Moebius transform of its
+measure directly (singletons and pairs), so its table is one zeta
+transform; point queries and validation sum its entries.  Every query reads
+the stored data, not the form the theory came from.  ``Fraction`` and
+``ComplexRational`` appear only where values leave.
 """
 
 from __future__ import annotations
@@ -283,48 +284,41 @@ class TableMeasure:
         self.ints = list(map(scaled.__getitem__, zip(map(type, entries), entries))), denom
 
 
-class DecoherenceMeasure:
-    """Hermitian matrix over history pairs; measure = block sums of entries.
+class PairMeasure:
+    """A decoherence matrix D held as integers over one common denominator
+    L: the diagonal ``diag = (re, im)`` with D_ii = (re[i] + i im[i]) / L,
+    and the nonzero off-diagonal entries ``pairs = (re, im)``, each a dict
+    from a row i to its nonzero columns {j: value}, so that
+    D_ij = (re[i][j] + i im[i][j]) / L.  A weights measure is the diagonal
+    case with no pairs, O(n) in memory.  ``kind`` only labels the source
+    form ("decoherence" or "weights"); the queries read the data."""
 
-    The entries are also held as ``ints = (re, im, L)``: integer rows with
-    D_ij = (re[i][j] + i im[i][j]) / L over one common denominator, which
-    every block sum reads."""
+    def __init__(self, kind: str, diag, pairs, denom: int):
+        self.kind, self.diag, self.pairs, self.denom = kind, diag, pairs, denom
+        # the imaginary parts cancel in every block X x X, so every measure
+        # is real, when Im D_ii = 0 and Im D_ji = -Im D_ij
+        self.real_blocks = not any(diag[1]) and all(
+            pairs[1].get(j, {}).get(i) == -v for i, row in pairs[1].items() for j, v in row.items())
+        # no pairs and a real nonnegative diagonal: mu is additive and monotone
+        self.additive = self.real_blocks and not any(pairs) and min(diag[0]) >= 0
 
-    kind = "decoherence"
+    def entry(self, i: int, j: int) -> tuple[int, int]:
+        """D_ij as integers ``(re, im)`` over L."""
+        if i == j:
+            return self.diag[0][i], self.diag[1][i]
+        re, im = self.pairs
+        return re.get(i, {}).get(j, 0), im.get(i, {}).get(j, 0)
 
-    def __init__(self, n: int, matrix):
-        rows = tuple(tuple(entry for entry in row) for row in matrix)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"decoherence matrix must be {n}x{n}")
-        for row in rows:
-            for entry in row:
-                if not isinstance(entry, ComplexRational):
-                    raise TypeError("decoherence entries must be ComplexRational")
-        self.matrix = rows
-        entries = [entry for row in rows for entry in row]
-        t, denom = lattice.over_common_denominator(
-            [e.real.as_integer_ratio() for e in entries]
-            + [e.imag.as_integer_ratio() for e in entries])
-        int_rows = [t[k * n:(k + 1) * n] for k in range(2 * n)]
-        self.ints = int_rows[:n], int_rows[n:], denom
-
-
-class WeightsMeasure:
-    """Additive classical measure given by per-history weights.
-
-    The measure of an event is the sum of its members' weights.  This form
-    supports large sample spaces (repeated trials) where the full event table
-    cannot be materialized; the measure is level one by construction.
-    """
-
-    kind = "weights"
-
-    def __init__(self, weights):
-        self.weights = tuple(parse_rational(w) for w in weights)
-
-    @property
-    def is_uniform(self) -> bool:
-        return len(set(self.weights)) == 1
+    def block_sum(self, x: int, y: int, part: int) -> int:
+        """The real (part 0) or imaginary (part 1) part of D(X, Y), the sum
+        of D_ij over i in event X and j in event Y (given as masks), as an
+        integer over L."""
+        diag, rows = self.diag[part], self.pairs[part]
+        xs = lattice.members(x)
+        ys, both = (xs, xs) if x == y else (lattice.members(y), lattice.members(x & y))
+        zeros = [0] * len(ys)
+        return sum(map(diag.__getitem__, both)) + sum(
+            sum(map(row.get, ys, zeros)) for row in filter(None, map(rows.get, xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +361,11 @@ class HistoriesTheory:
     """A sample space together with an exact generalized measure."""
 
     def __init__(self, space: SampleSpace, measure):
-        if not isinstance(measure, (TableMeasure, DecoherenceMeasure, WeightsMeasure)):
-            raise TypeError("measure must be a TableMeasure, DecoherenceMeasure, or WeightsMeasure")
+        if not isinstance(measure, (TableMeasure, PairMeasure)):
+            raise TypeError("measure must be a TableMeasure or a PairMeasure")
         self.space = space
         self.measure = measure
-        self._ints = measure.ints if measure.kind == "table" else None
+        self._ints = measure.ints if isinstance(measure, TableMeasure) else None
         self._negligible_cache: dict[Fraction, int] = {}
 
     # -- constructors --------------------------------------------------
@@ -392,25 +386,38 @@ class HistoriesTheory:
 
     @classmethod
     def from_decoherence(cls, space: SampleSpace, matrix) -> "HistoriesTheory":
-        rows = []
+        """Build from an n x n matrix of ``ComplexRational``s or ``[re, im]``
+        pairs of rationals, each part parsed once, in row-major order."""
+        n = space.n
+        parts, widths = [], []
         for row in matrix:
-            entries = []
+            start = len(parts)
             for entry in row:
                 if isinstance(entry, ComplexRational):
-                    entries.append(entry)
-                elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                    entries.append(ComplexRational.of(*entry))
-                else:
+                    entry = entry.real, entry.imag
+                elif not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                     raise ValueError("matrix entries must be [re, im] pairs")
-            rows.append(tuple(entries))
-        return cls(space, DecoherenceMeasure(space.n, tuple(rows)))
+                parts += map(rational_parts, entry)
+            widths.append(len(parts) - start)
+        if widths != [2 * n] * n:
+            raise ValueError(f"decoherence matrix must be {n}x{n}")
+        t, denom = lattice.over_common_denominator(parts)
+        diag, pairs = [], []
+        for part in (t[0::2], t[1::2]):  # the real, then the imaginary parts, row-major
+            rows = ({j: v for j, v in enumerate(part[i * n:(i + 1) * n]) if v and j != i} for i in range(n))
+            diag.append(part[::n + 1])
+            pairs.append({i: row for i, row in enumerate(rows) if row})
+        return cls(space, PairMeasure("decoherence", tuple(diag), tuple(pairs), denom))
 
     @classmethod
     def from_weights(cls, space: SampleSpace, weights) -> "HistoriesTheory":
+        """Build the additive measure of per-history weights: the pair form
+        with a real diagonal and no pairs."""
         ws = tuple(weights)
         if len(ws) != space.n:
             raise ValueError("one weight per history required")
-        return cls(space, WeightsMeasure(ws))
+        t, denom = lattice.over_common_denominator(list(map(rational_parts, ws)))
+        return cls(space, PairMeasure("weights", (t, [0] * len(t)), ({}, {}), denom))
 
     @property
     def kind(self) -> str:
@@ -428,24 +435,14 @@ class HistoriesTheory:
         if self._ints is not None:
             table, denom = self._ints
             return Fraction(table[mask], denom)
+        # the block sum over the event, which must come out real
         m = self.measure
-        if m.kind == "weights":
-            total = ZERO
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                total += m.weights[bit.bit_length() - 1]
-                rest ^= bit
-            return total
-        # decoherence: block sum over the event, which must come out real
-        members = [i for i in range(self.space.n) if mask >> i & 1]
-        re, im, denom = m.ints
-        if _block_sum(im, members, members):
+        if not m.real_blocks and m.block_sum(mask, mask, 1):
             raise ValueError(
                 "decoherence block sum has nonzero imaginary part; "
                 "the matrix is not Hermitian (run validate)"
             )
-        return Fraction(_block_sum(re, members, members), denom)
+        return Fraction(m.block_sum(mask, mask, 0), m.denom)
 
     def mu(self, event: Event) -> Fraction:
         """The exact measure of an event."""
@@ -453,21 +450,25 @@ class HistoriesTheory:
         return self.mu_mask(event.mask)
 
     def decoherence_value(self, x: Event, y: Event) -> ComplexRational:
-        """The matrix block sum D(X, Y); requires the decoherence form."""
+        """The matrix block sum D(X, Y); a weights theory has no off-diagonal
+        part, and a table theory no matrix."""
         self._check_event(x)
         self._check_event(y)
-        if self.kind != "decoherence":
-            raise ValueError("off-diagonal values need a decoherence-form theory")
-        xs = [i for i in range(self.space.n) if x.mask >> i & 1]
-        ys = [j for j in range(self.space.n) if y.mask >> j & 1]
-        re, im, denom = self.measure.ints
-        return ComplexRational(Fraction(_block_sum(re, xs, ys), denom),
-                               Fraction(_block_sum(im, xs, ys), denom))
+        m = self.measure
+        if not isinstance(m, PairMeasure):
+            raise ValueError("off-diagonal values need a decoherence or weights theory")
+        return ComplexRational(*(Fraction(m.block_sum(x.mask, y.mask, part), m.denom) for part in (0, 1)))
+
+    def _additive(self) -> bool:
+        """Is mu additive and monotone (a pair form with no pairs and a real
+        nonnegative diagonal)?  Then queries over the supersets or the
+        subsets of an event reduce to the event itself."""
+        return isinstance(self.measure, PairMeasure) and self.measure.additive
 
     def _lattice(self, override_cap: bool = False) -> tuple[list[int], int]:
         """The measure of every event as ``(t, L)`` with mu(A) = t[A] / L over
         one common denominator L (stored for the table form; built once and
-        capped for the weights and decoherence forms)."""
+        capped for the pair form)."""
         if self._ints is None:
             _check_enum_cap(self.space.n, override_cap)
             coeffs, denom = self._sparse_moebius()
@@ -475,29 +476,28 @@ class HistoriesTheory:
         return self._ints
 
     def _sparse_moebius(self) -> tuple[list[int], int]:
-        """The Moebius transform of a weights or decoherence measure, read
-        off the data: w_i (weights) or D_ii (decoherence) on {i}, and
-        Re(D_ij + D_ji) on {i, j}; zero on larger events.  Over its common
-        denominator, as ``(m, L)``."""
+        """The Moebius transform of a pair-form measure, read off the data:
+        D_ii on {i} and Re(D_ij + D_ji) on {i, j}; zero on larger events.
+        Over the common denominator, as ``(m, L)``."""
         n = self.space.n
         m = self.measure
-        if m.kind == "weights":
-            coeffs = [ZERO] * (1 << n)
-            for i, w in enumerate(m.weights):
-                coeffs[1 << i] = w
-            return lattice.over_common_denominator([c.as_integer_ratio() for c in coeffs])
-        re, im, denom = m.ints
-        real, imag = [0] * (1 << n), [0] * (1 << n)
-        for i, j in product(range(n), repeat=2):  # D_ii lands on {i}, D_ij and D_ji on {i, j}
-            real[1 << i | 1 << j] += re[i][j]
-            imag[1 << i | 1 << j] += im[i][j]
-        if any(imag):
-            bad = next(mask for mask, v in enumerate(lattice.zeta(imag, n)) if v)
+
+        def transform(part: int) -> list[int]:
+            out = [0] * (1 << n)
+            for i, v in enumerate(m.diag[part]):
+                out[1 << i] = v
+            for i, row in m.pairs[part].items():  # D_ij and D_ji land on {i, j}
+                for j, v in row.items():
+                    out[1 << i | 1 << j] += v
+            return out
+
+        if not m.real_blocks:
+            bad = next(mask for mask, v in enumerate(lattice.zeta(transform(1), n)) if v)
             raise ValueError(
                 f"measure of event {hex(bad)} is not real; "
                 "the decoherence matrix is not Hermitian (run validate)"
             )
-        return lattice.over_common_denominator(list(zip(real, repeat(denom))))
+        return transform(0), m.denom
 
     def full_table(self, override_cap: bool = False) -> list[Fraction]:
         """The measure of every event, indexed by mask, as a new list (capped)."""
@@ -540,14 +540,14 @@ class HistoriesTheory:
     def is_negligible(self, event: Event, eps: Fraction = ZERO, override_cap: bool = False) -> bool:
         """Is the event a subset of an (eps-)null event?
 
-        For an additive weights measure this reduces to the event's own
+        For an additive and monotone measure this reduces to the event's own
         measure being (eps-)null, since supersets can only grow.
         """
         self._check_event(event)
         eps = parse_rational(eps)
         if eps < 0:
             raise ValueError("eps must be nonnegative")
-        if self.kind == "weights":
+        if self._additive():
             return self.is_null(event, eps)
         fam = self._negligible_masks(eps, override_cap)
         return bool(fam >> event.mask & 1)
@@ -603,7 +603,7 @@ class HistoriesTheory:
         """
         n = self.space.n
         _check_enum_cap(n, override_cap)
-        if self.kind == "table":
+        if isinstance(self.measure, TableMeasure):
             values = list(self._lattice()[0])
             values[0] = 0
             transform = lattice.moebius(values, n)
@@ -641,38 +641,38 @@ class HistoriesTheory:
         Table form: zero on the empty event, positivity everywhere, unit
         total.  Decoherence form: Hermiticity, positivity of every block sum,
         unit normalization (downgradable to a warning).  Weights form:
-        nonnegative weights summing to one.
+        nonnegative weights summing to one.  The kind picks the axioms and
+        their wording; both pair forms read the same data.
         """
         violations: list[AxiomViolation] = []
         warnings: list[str] = []
         n = self.space.n
         m = self.measure
+        kind = self.kind
 
-        if m.kind == "decoherence":
-            re, im, denom = m.ints
-            for i in range(n):
-                for j in range(n):
-                    if re[i][j] != re[j][i] or im[i][j] != -im[j][i]:
-                        violations.append(AxiomViolation(
-                            "hermiticity", f"({i},{j})",
-                            "entry is not the conjugate of its transpose",
-                        ))
-            total_re, total_im = sum(map(sum, re)), sum(map(sum, im))
-            if total_im or total_re != denom:
-                total = ComplexRational(Fraction(total_re, denom), Fraction(total_im, denom))
+        if kind == "decoherence":
+            for i, j in product(range(n), repeat=2):
+                (a, b), (c, d) = m.entry(i, j), m.entry(j, i)
+                if a != c or b != -d:
+                    violations.append(AxiomViolation(
+                        "hermiticity", f"({i},{j})",
+                        "entry is not the conjugate of its transpose",
+                    ))
+            total = self.decoherence_value(self.space.omega, self.space.omega)
+            if total.imag or total.real != 1:
                 message = f"D(Omega,Omega) = {total!r}, expected 1"
                 if strict_normalization:
                     violations.append(AxiomViolation("normalization", "Omega", message))
                 else:
                     warnings.append(message)
 
-        if m.kind == "weights":
-            for i, w in enumerate(m.weights):
+        if kind == "weights":
+            for i, w in enumerate(m.diag[0]):
                 if w < 0:
                     violations.append(AxiomViolation(
-                        "positivity", format_mask(1 << i), f"weight {format_rational(w)} < 0"
+                        "positivity", format_mask(1 << i), f"weight {format_rational(Fraction(w, m.denom))} < 0"
                     ))
-            total = sum(m.weights, ZERO)
+            total = self.decoherence_value(self.space.omega, self.space.omega).real
             if total != 1:
                 violations.append(AxiomViolation(
                     "unitality", "Omega", f"weights sum to {format_rational(total)}"
@@ -696,12 +696,12 @@ class HistoriesTheory:
                     f"measure of the empty event is {format_rational(Fraction(table[0], denom))}"
                 ))
             full = (1 << n) - 1
-            if m.kind == "table" and table[full] != denom:
+            if kind == "table" and table[full] != denom:
                 violations.append(AxiomViolation(
                     "unitality", format_mask(full),
                     f"measure of Omega is {format_rational(Fraction(table[full], denom))}"
                 ))
-            if m.kind != "weights":
+            if kind != "weights":
                 # nonnegative weights already force nonnegative sums
                 for mask, value in enumerate(table):
                     if value < 0:
@@ -713,11 +713,6 @@ class HistoriesTheory:
 
         valid = not violations
         return ValidationReport(valid, tuple(violations), tuple(warnings), null_events)
-
-
-def _block_sum(rows: list[list[int]], xs: list[int], ys: list[int]) -> int:
-    """The sum of ``rows[i][j]`` over i in xs and j in ys."""
-    return sum(sum(map(row.__getitem__, ys)) for row in map(rows.__getitem__, xs))
 
 
 def _validate_partition_blocks(space: SampleSpace, blocks) -> None:
@@ -742,23 +737,19 @@ def _validate_partition_blocks(space: SampleSpace, blocks) -> None:
 
 
 def theory_to_json(theory: HistoriesTheory) -> dict:
-    """Serialize a theory; weights-backed theories are emitted in table form."""
+    """Serialize a theory in the form it was built from."""
     doc: dict = {"histories": list(theory.space.labels)}
-    kind = theory.kind
-    if kind == "decoherence":
-        doc["measure"] = {
-            "type": "decoherence",
-            "matrix": [
-                [[format_rational(e.real), format_rational(e.imag)] for e in row]
-                for row in theory.measure.matrix
-            ],
-        }
+    kind, m, n = theory.kind, theory.measure, theory.space.n
+    if kind == "table":
+        values = {format_mask(mask): format_rational(v) for mask, v in enumerate(theory.full_table())}
+        doc["measure"] = {"type": "table", "values": values}
+    elif kind == "weights":
+        doc["measure"] = {"type": "weights",
+                          "weights": [format_rational(Fraction(w, m.denom)) for w in m.diag[0]]}
     else:
-        table = theory.full_table()
-        doc["measure"] = {
-            "type": "table",
-            "values": {format_mask(mask): format_rational(v) for mask, v in enumerate(table)},
-        }
+        matrix = [[[format_rational(Fraction(v, m.denom)) for v in m.entry(i, j)] for j in range(n)]
+                  for i in range(n)]
+        doc["measure"] = {"type": "decoherence", "matrix": matrix}
     return doc
 
 
@@ -784,6 +775,11 @@ def theory_from_json(doc: dict) -> HistoriesTheory:
         if not isinstance(raw, list):
             raise ValueError("decoherence measure needs a 'matrix' array")
         return HistoriesTheory.from_decoherence(space, raw)
+    if mtype == "weights":
+        raw = measure.get("weights")
+        if not isinstance(raw, list):
+            raise ValueError("weights measure needs a 'weights' array")
+        return HistoriesTheory.from_weights(space, raw)
     raise ValueError(f"unknown measure type: {mtype!r}")
 
 

@@ -22,12 +22,17 @@ singleton blocks.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
+from . import lattice
 from .core import (
     Event,
     HistoriesTheory,
+    PairMeasure,
     SampleSpace,
     _validate_partition_blocks,
     format_mask,
@@ -125,23 +130,24 @@ def refines(fine: Partition, coarse: Partition) -> bool:
 def is_decoherent(theory: HistoriesTheory, partition: Partition) -> bool:
     """Do distinct blocks have exactly zero interference?
 
-    Requires the off-diagonal data: a decoherence-form theory, or a
-    weights-backed classical theory (diagonal by construction, hence always
-    decoherent).  Table-form theories are rejected since their off-diagonal
-    values are unknown.
+    Requires the off-diagonal data of the pair form: one pass over the
+    nonzero off-diagonal entries sums each into D(A, B) for its blocks A
+    before B, so a weights theory (no pairs) is always decoherent.
+    Table-form theories are rejected since their off-diagonal values are
+    unknown.
     """
     if partition.space != theory.space:
         raise ValueError("partition over a different sample space")
-    if theory.kind == "weights":
-        return True
-    if theory.kind != "decoherence":
+    if not isinstance(theory.measure, PairMeasure):
         raise ValueError("decoherence check needs off-diagonal data (decoherence form)")
-    blocks = partition.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if not theory.decoherence_value(blocks[i], blocks[j]).is_zero:
-                return False
-    return True
+    block_of = {i: b for b, block in enumerate(partition.blocks) for i in lattice.members(block.mask)}
+    sums: Counter = Counter()
+    for part, rows in enumerate(theory.measure.pairs):
+        for i, row in rows.items():
+            for j, v in row.items():
+                if block_of[i] < block_of[j]:
+                    sums[part, block_of[i], block_of[j]] += v
+    return not any(sums.values())
 
 
 def is_preclusively_separable(theory: HistoriesTheory, partition: Partition,
@@ -150,12 +156,12 @@ def is_preclusively_separable(theory: HistoriesTheory, partition: Partition,
     A contains Z's trace on A.
 
     Containment is read non-strictly, so a null trace may serve as its own
-    witness.  Additive weights measures are always separable: the trace of a
-    null event is itself null.
+    witness.  Additive monotone measures are always separable: the trace of
+    a null event is itself null.
     """
     if partition.space != theory.space:
         raise ValueError("partition over a different sample space")
-    if theory.kind == "weights":
+    if theory._additive():
         return True
     nulls = theory.null_family(override_cap)
     for block in partition.blocks:
@@ -170,9 +176,12 @@ def is_preclusively_separable(theory: HistoriesTheory, partition: Partition,
 
 
 def _uniform_weight(theory: HistoriesTheory) -> Fraction | None:
-    """The common history weight if the measure is uniform weights, else None."""
-    if theory.kind == "weights" and theory.measure.is_uniform:
-        return theory.measure.weights[0]
+    """The common history weight if the measure is additive and monotone
+    with one weight on every history, else None."""
+    if theory._additive():
+        weights = theory.measure.diag[0]
+        if weights.count(weights[0]) == len(weights):
+            return Fraction(weights[0], theory.measure.denom)
     return None
 
 
@@ -262,7 +271,7 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
     covers), merge each class into a fat dual, and append uncovered
     histories as singleton blocks.
 
-    Uniform weights measures take a closed-form path: the primitive duals are
+    Uniform additive measures take a closed-form path: the primitive duals are
     exactly the subsets of the minimal non-(eps-)null cardinality m, so the
     answer is the singleton partition for m <= 1 and the one-block partition
     for m >= 2 (any two histories sit inside a common m-subset).
@@ -280,8 +289,6 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
         if m == 1:
             dual_masks = [1 << i for i in range(n)]
             return _assemble(theory, dual_masks, lambda i: i)
-        import math
-
         count = math.comb(n, m)
         if count > _FAT_CLASS_LIMIT:
             # a single class covering everything; too many duals to list
@@ -292,10 +299,8 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
                 uncovered=(),
             )
             return Partition(space, (space.omega,)), fat_set
-        from itertools import combinations as _combinations
-
         dual_masks = sorted(
-            sum(1 << i for i in subset) for subset in _combinations(range(n), m)
+            sum(1 << i for i in subset) for subset in combinations(range(n), m)
         )
         return _assemble(theory, dual_masks, lambda i: 0)
     dual_masks = theory.minimal_nonnegligible(eps, override_cap)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -333,3 +334,66 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, three_path_file):
     # the repeated --mu of the first call does not carry into the second
     assert shared[1][1].count("mu ") == 1
     assert "mu" not in shared[-1][1]
+
+
+def test_theory_outputs_print_beyond_the_int_string_limit(capsys, tmp_path):
+    # every input is under the limit, but the measure of both histories,
+    # the total in validate's report and the row of 0x3 need about 8,000 digits
+    big = 10**4000
+    first, second = Fraction(1, big + 1), Fraction(1, big + 3)
+    matrix = [[[f"1/{big + 1}", "0"], ["0", "0"]], [["0", "0"], [f"1/{big + 3}", "0"]]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"histories": ["a", "b"],
+                                "measure": {"type": "decoherence", "matrix": matrix}}))
+    limit = sys.get_int_max_str_digits()
+    calls = {
+        ("measure", "--mu", "0x3"): 0,
+        ("validate",): 1,
+        ("validate", "--relax-normalization"): 0,
+        ("primitives",): 0,
+        ("partition", "--principle"): 0,
+        ("feasibility", "build", "--duals", "0x1,0x2"): 0,
+    }
+    outputs = {}
+    for argv, expected_code in calls.items():
+        head = list(argv[:2]) if argv[0] == "feasibility" else [argv[0]]
+        code, out, err = run(capsys, *head, "--theory", str(path), *argv[len(head):])
+        assert (code, err) == (expected_code, "")
+        assert sys.get_int_max_str_digits() == limit
+        outputs[argv] = out
+    sys.set_int_max_str_digits(0)
+    try:
+        total = first + second
+        assert outputs["measure", "--mu", "0x3"] == f"mu 0x3 {{a,b}} = {total}\n"
+        assert f"D(Omega,Omega) = ({total}+0i), expected 1\n" in outputs["validate",]
+        assert outputs["feasibility", "build", "--duals", "0x1,0x2"].endswith(f"0x3: [11] = {total}\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outputs["primitives",] == "0x1 {a}\n0x2 {b}\n"
+
+    # an input past the limit is still refused
+    path.write_text(json.dumps({"histories": ["a"],
+                                "measure": {"type": "weights", "weights": ["1/" + "7" * 5000]}}))
+    code, _, err = run(capsys, "measure", "--theory", str(path), "--mu", "0x1")
+    assert code == 1 and "not a rational" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_weights_theory_of_4096_histories(capsys, tmp_path):
+    theory = be.explicit_theory(be.BernoulliModel(12, Fraction(1, 2), Fraction(1, 1000)))
+    path = tmp_path / "w4096.json"
+    path.write_text(json.dumps(theory_to_json(theory)))
+    omega = hex((1 << 4096) - 1)
+    code, out, err = run(capsys, "measure", "--theory", str(path), "--mu", "0x6", "--mu", omega,
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"mu": {"0x6": "1/2048", omega: "1"}}
+    code, out, err = run(capsys, "partition", "--theory", str(path), "--principle", "--eps", "1/1000",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    # 1/1000 <= 5/4096: every 5-subset is a primitive dual, chained into one class
+    assert json.loads(out) == {"blocks": [omega], "fat_duals": [omega], "classes": None,
+                               "class_sizes": [math.comb(4096, 5)], "uncovered": []}
+    code, out, err = run(capsys, "validate", "--theory", str(path))
+    assert (code, err) == (0, "")
+    assert out == "valid\n  warning: event lattice beyond enumeration cap; positivity checked per query only\n"

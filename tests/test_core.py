@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeasure import bernoulli as be
 from qmeasure.checks import coin_theory, random_classical_theory, random_decoherence_theory, three_path_theory
 from qmeasure.core import (
     ENUM_CAP,
@@ -213,12 +214,34 @@ def decoherence_matrices(draw, max_n=6):
     return matrix
 
 
+def _spellings(value: Fraction) -> list:
+    """Spellings of a rational in a theory file: an unreduced "p/q", and
+    where they exist a JSON int, a decimal such as "0.5", and an exponent
+    such as "5e-1"."""
+    out = [f"{2 * value.numerator}/{2 * value.denominator}"]
+    if value.denominator == 1:
+        out.append(value.numerator)
+    if 100 % value.denominator == 0:
+        out.append(str(Decimal(value.numerator) / Decimal(value.denominator)))
+        out.append(f"{value.numerator * (100 // value.denominator)}e-2")
+    return out
+
+
 @settings(max_examples=60, deadline=None)
-@given(decoherence_matrices(), st.data())
-def test_decoherence_queries_match_the_block_sum_reference(matrix, data):
+@given(decoherence_matrices(), st.sampled_from(["ComplexRational", "json"]), st.data())
+def test_decoherence_queries_match_the_block_sum_reference(matrix, source, data):
+    """Every query of a matrix given as ``ComplexRational``s, or as a theory
+    document spelling each part in another way, against the references
+    that add the ``ComplexRational`` entries one at a time."""
     n = len(matrix)
     space = SampleSpace(tuple(f"h{i}" for i in range(n)))
-    theory = HistoriesTheory.from_decoherence(space, matrix)
+    if source == "json":
+        spelled = [[[data.draw(st.sampled_from(_spellings(part))) for part in (e.real, e.imag)]
+                    for e in row] for row in matrix]
+        doc = {"histories": list(space.labels), "measure": {"type": "decoherence", "matrix": spelled}}
+        theory = theory_from_json(json.loads(json.dumps(doc)))
+    else:
+        theory = HistoriesTheory.from_decoherence(space, matrix)
     for mask in range(1 << n):
         want = block_sum_reference(matrix, mask, mask)
         if want.imag:
@@ -640,6 +663,39 @@ def test_theory_json_round_trip_decoherence():
     assert json.loads(json.dumps(doc)) == doc
 
 
+def test_theory_json_round_trip_weights_at_4096_histories():
+    model = be.BernoulliModel(12, Fraction(1, 3), Fraction(1, 1000))
+    theory = be.explicit_theory(model)
+    doc = theory_to_json(theory)
+    assert doc["measure"]["type"] == "weights"
+    assert len(doc["measure"]["weights"]) == 4096
+    parsed = theory_from_json(json.loads(json.dumps(doc)))
+    assert parsed.kind == "weights" and parsed.space == theory.space
+    assert theory_to_json(parsed) == doc
+    for mask in (1, 1 << 4095, 0b1011 << 2000, (1 << 4096) - 1):
+        assert parsed.mu_mask(mask) == theory.mu_mask(mask)
+    assert parsed.mu_mask(1 << 4095) == be.prob_history(model, 12)
+    assert parsed.mu_mask((1 << 4096) - 1) == 1
+
+
+def test_theory_json_rejects_malformed_weights():
+    def load(weights):
+        return theory_from_json({"histories": ["a", "b"], "measure": {"type": "weights", "weights": weights}})
+
+    assert load(["1/3", "2/3"]).mu_mask(3) == 1
+    with pytest.raises(ValueError, match="'weights' array"):
+        load({"a": "1"})
+    for weights in (["1"], ["1/2", "1/4", "1/4"], []):
+        with pytest.raises(ValueError, match="one weight per history required"):
+            load(weights)
+    with pytest.raises(ValueError, match="not a rational: 'junk'"):
+        load(["1/2", "junk"])
+    with pytest.raises(TypeError, match="booleans are not rationals"):
+        load([True, "0"])
+    with pytest.raises(TypeError, match="got float"):
+        load(["1/2", 0.5])
+
+
 def test_theory_json_rejects_two_spellings_of_one_event():
     values = {"0x0": "0", "0x1": "1/2", "0x2": "1/2", "0x3": "1", "0x03": "0"}
     with pytest.raises(ValueError, match="0x3"):
@@ -670,3 +726,9 @@ def test_theory_json_rejects_malformed():
                 "histories": ["a"],
                 "measure": {"type": "decoherence", "matrix": [[entry]]},
             })
+    # the first bad entry in row-major order is named before the shape
+    for matrix, message in (([[["0", "x"], ["y", "0"]], [["z", "0"]]], "'x'"),
+                            ([[["0", "0"]], [["1", "0"], ["w", "0"]]], "'w'"),
+                            ([[["0", "0"]], [["1", "0"], ["0", "0"]]], "must be 2x2")):
+        with pytest.raises(ValueError, match=message):
+            theory_from_json({"histories": ["a", "b"], "measure": {"type": "decoherence", "matrix": matrix}})
