@@ -73,6 +73,14 @@ def _check_enum_cap(n: int, override_cap: bool) -> None:
         )
 
 
+def _parse_eps(eps) -> Fraction:
+    """An approximate-preclusion level as a Fraction, refused when negative."""
+    eps = parse_rational(eps)
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    return eps
+
+
 def format_mask(mask: int) -> str:
     """Canonical hex spelling of an event bitmask, e.g. ``0x5``."""
     return hex(mask)
@@ -367,6 +375,7 @@ class HistoriesTheory:
         self.measure = measure
         self._ints = measure.ints if isinstance(measure, TableMeasure) else None
         self._negligible_cache: dict[Fraction, int] = {}
+        self._nulls: int | None = None  # the null family, built on first use
 
     # -- constructors --------------------------------------------------
 
@@ -506,29 +515,26 @@ class HistoriesTheory:
 
     # -- null and negligible families ------------------------------------
 
-    def null_family(self, override_cap: bool = False) -> tuple[int, ...]:
-        """Masks of all events of measure exactly zero (capped scan)."""
-        table, _ = self._lattice(override_cap)
-        return tuple(mask for mask, v in enumerate(table) if not v)
+    def _null_family(self, eps: Fraction = ZERO, override_cap: bool = False) -> int:
+        """The family of (eps-)null events: of measure 0 (eps == 0) or below
+        eps (eps > 0); capped for the pair form."""
+        table, denom = self._lattice(override_cap)
+        if not eps:
+            if self._nulls is None:
+                self._nulls = lattice.family_of(not v for v in table)
+            return self._nulls
+        bound = eps.numerator * denom  # t / L < p / q  <=>  t * q < p * L
+        return lattice.family_of(v * eps.denominator < bound for v in table)
 
     def _negligible_masks(self, eps: Fraction, override_cap: bool) -> int:
         """The family of (eps-)negligible events: the downward closure of
-        the events of measure 0 (eps == 0) or below eps (eps > 0)."""
+        the (eps-)null family."""
         key = Fraction(eps)
-        cached = self._negligible_cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.space.n
-        _check_enum_cap(n, override_cap)
-        table, denom = self._lattice(override_cap)
-        if key == 0:
-            nulls = lattice.family_of(not v for v in table)
-        else:
-            # t / L < p / q  <=>  t * q < p * L
-            bound = key.numerator * denom
-            nulls = lattice.family_of(v * key.denominator < bound for v in table)
-        fam = lattice.down_closure(nulls, n)
-        self._negligible_cache[key] = fam
+        fam = self._negligible_cache.get(key)
+        if fam is None:
+            _check_enum_cap(self.space.n, override_cap)
+            fam = lattice.down_closure(self._null_family(key, override_cap), self.space.n)
+            self._negligible_cache[key] = fam
         return fam
 
     def is_null(self, event: Event, eps: Fraction = ZERO) -> bool:
@@ -544,9 +550,7 @@ class HistoriesTheory:
         measure being (eps-)null, since supersets can only grow.
         """
         self._check_event(event)
-        eps = parse_rational(eps)
-        if eps < 0:
-            raise ValueError("eps must be nonnegative")
+        eps = _parse_eps(eps)
         if self._additive():
             return self.is_null(event, eps)
         fam = self._negligible_masks(eps, override_cap)
@@ -556,12 +560,15 @@ class HistoriesTheory:
         """Masks that are minimal under inclusion among non-(eps-)negligible
         events, in ascending mask order.  These are the duals of the primitive
         preclusive multiplicative co-events."""
-        eps = parse_rational(eps)
+        return tuple(lattice.members(self._minimal_family(_parse_eps(eps), override_cap)))
+
+    def _minimal_family(self, eps: Fraction, override_cap: bool) -> int:
+        """The family of the minimal non-(eps-)negligible events."""
         n = self.space.n
-        fam = self._negligible_masks(eps, override_cap)
+        fam = self._negligible_masks(eps, override_cap)  # refuses above the cap
         everything = (1 << (1 << n)) - 1
         # the empty event is never a dual
-        return tuple(lattice.members(lattice.minimal(everything ^ fam, n) & ~1))
+        return lattice.minimal(everything ^ fam, n) & ~1
 
     # -- interference hierarchy ------------------------------------------
 

@@ -7,6 +7,9 @@ history, each pass combining every event without the history with the event
 that adds it, so O(n * 2**n) integer operations (Bjorklund, Husfeldt, Kaski
 and Koivisto, "Fourier meets Moebius: fast subset convolution", STOC 2007).
 The passes run as slice operations, so the per-event work stays in C.
+The family operations are the down closure, the minimal members, the Z2
+Moebius transform and the events inside a mask (``inside``), each at most
+one big-int pass per history.
 
 Rational data enters through ``over_common_denominator``; integer arithmetic
 keeps every result exact.
@@ -73,6 +76,16 @@ def _without(i: int, n: int) -> int:
         pattern |= pattern << width
         width <<= 1
     return pattern
+
+
+def inside(mask: int) -> int:
+    """The family of events contained in ``mask``."""
+    family = 1
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            # the events so far all lie below bit 1 << i: add history i
+            family |= family << (1 << i)
+    return family
 
 
 def down_closure(family: int, n: int) -> int:

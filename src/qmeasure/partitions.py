@@ -13,11 +13,15 @@ Three graded notions of classicality are computed for a partition:
   primitive dual sits inside a single block.
 
 Among the partitions classical with respect to the primitives there is a
-unique finest one, the principle classical partition.  It is built by
-chaining primitive duals that intersect: the transitive closure of pairwise
-intersection partitions the duals into classes, each class is merged into one
-"fat" dual, and histories not covered by any fat dual are appended as
-singleton blocks.
+unique finest one, the principle classical partition.  Primitive duals that
+intersect are chained into classes; each class is merged into one "fat"
+dual, and histories not covered by any fat dual are appended as singleton
+blocks.
+
+Each question reads families of events held as one int (``lattice``): the
+null family and its down closure for separability and the minimal family
+of primitive duals for the other two, so each is a few big-int passes per
+block.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from . import lattice
 from .core import (
@@ -34,11 +40,12 @@ from .core import (
     HistoriesTheory,
     PairMeasure,
     SampleSpace,
+    _parse_eps,
     _validate_partition_blocks,
     format_mask,
     parse_mask,
 )
-from .exact import ceil_rational, parse_rational
+from .exact import ceil_rational
 
 ZERO = Fraction(0)
 
@@ -163,15 +170,15 @@ def is_preclusively_separable(theory: HistoriesTheory, partition: Partition,
         raise ValueError("partition over a different sample space")
     if theory._additive():
         return True
-    nulls = theory.null_family(override_cap)
+    n = theory.space.n
+    under_nulls = theory._negligible_masks(ZERO, override_cap)
+    nulls = theory._null_family(override_cap=override_cap)
     for block in partition.blocks:
-        nulls_in_block = [z for z in nulls if z & ~block.mask == 0]
-        for z in nulls:
-            trace = z & block.mask
-            if trace == 0:
-                continue
-            if not any(trace & ~za == 0 for za in nulls_in_block):
-                return False
+        # a nonempty trace lies under a null event inside the block exactly
+        # when every nonempty subset of the block under a null event does
+        inside = lattice.inside(block.mask)
+        if under_nulls & inside & ~lattice.down_closure(nulls & inside, n) & ~1:
+            return False
     return True
 
 
@@ -186,10 +193,9 @@ def _uniform_weight(theory: HistoriesTheory) -> Fraction | None:
 
 
 def _uniform_min_cardinality(weight: Fraction, eps: Fraction) -> int:
-    """Minimal cardinality of a non-(eps-)null event under uniform weights."""
-    if eps == 0:
-        return 1
-    return ceil_rational(eps / weight)
+    """Minimal cardinality of a nonempty non-(eps-)null event under uniform
+    weights."""
+    return max(1, ceil_rational(eps / weight))
 
 
 def is_classical_wrt_M(theory: HistoriesTheory, partition: Partition, eps=ZERO,
@@ -199,66 +205,31 @@ def is_classical_wrt_M(theory: HistoriesTheory, partition: Partition, eps=ZERO,
     single block."""
     if partition.space != theory.space:
         raise ValueError("partition over a different sample space")
-    eps = parse_rational(eps)
+    eps = _parse_eps(eps)
     weight = _uniform_weight(theory)
     if weight is not None and weight > 0:
         m = _uniform_min_cardinality(weight, eps)
-        n = theory.space.n
-        if m > n:
-            return True  # no primitive co-events at all
-        if m == 1:
-            return True  # singleton duals always fit in a block
-        return partition.size == 1
-    duals = theory.minimal_nonnegligible(eps, override_cap)
-    block_masks = [b.mask for b in partition.blocks]
-    return all(
-        any(d & ~bm == 0 for bm in block_masks) for d in duals
-    )
+        # no duals at all (m > n) and singleton duals fit every partition;
+        # otherwise some dual holds any two histories
+        return m == 1 or m > theory.space.n or partition.size == 1
+    duals = theory._minimal_family(eps, override_cap)  # refuses above the cap first
+    return not duals & ~reduce(or_, (lattice.inside(block.mask) for block in partition.blocks))
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
-def _assemble(theory: HistoriesTheory, dual_masks, class_of) -> tuple[Partition, FatCoEventSet]:
-    space = theory.space
-    classes: dict[int, list[int]] = {}
-    for idx, mask in enumerate(dual_masks):
-        classes.setdefault(class_of(idx), []).append(mask)
-    class_lists = sorted(classes.values(), key=lambda masks: min(masks))
-    fat_masks = []
-    covered = 0
-    for masks in class_lists:
-        fat = 0
-        for mask in masks:
-            fat |= mask
-        fat_masks.append(fat)
-        covered |= fat
-    uncovered = [
-        1 << i for i in range(space.n) if not covered >> i & 1
-    ]
-    blocks = [space.event_from_mask(m) for m in fat_masks + uncovered]
+def _assemble(space: SampleSpace, class_lists) -> tuple[Partition, FatCoEventSet]:
+    """The partition and fat structure from the classes of primitive duals,
+    each an ascending list of masks, listed in the order of their least
+    dual."""
+    fat_masks = [reduce(or_, masks) for masks in class_lists]
+    covered = reduce(or_, fat_masks, 0)
+    event = space.event_from_mask
     fat_set = FatCoEventSet(
-        classes=tuple(
-            tuple(space.event_from_mask(m) for m in sorted(masks)) for masks in class_lists
-        ),
-        class_sizes=tuple(len(masks) for masks in class_lists),
-        fat_duals=tuple(space.event_from_mask(m) for m in fat_masks),
-        uncovered=tuple(space.event_from_mask(m) for m in uncovered),
+        classes=tuple(tuple(map(event, masks)) for masks in class_lists),
+        class_sizes=tuple(map(len, class_lists)),
+        fat_duals=tuple(map(event, fat_masks)),
+        uncovered=tuple(event(1 << i) for i in range(space.n) if not covered >> i & 1),
     )
-    return Partition(space, tuple(blocks)), fat_set
+    return Partition(space, fat_set.fat_duals + fat_set.uncovered), fat_set
 
 
 def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
@@ -266,29 +237,30 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
     """The unique finest partition classical with respect to the primitive
     (eps-)preclusive multiplicative co-events.
 
-    Construction: compute the primitive duals, chain any two that intersect
-    (transitive closure via union-find over the histories each dual
-    covers), merge each class into a fat dual, and append uncovered
-    histories as singleton blocks.
+    Construction, on the family M of primitive duals: grow a block from the
+    lowest covered history not yet in a block, setting it to the histories
+    of every dual that meets it until it stops changing.  The duals inside
+    a grown block form one class, whose union is its fat dual; classes are
+    listed by least dual, and uncovered histories are appended as singleton
+    blocks.
 
     Uniform additive measures take a closed-form path: the primitive duals are
     exactly the subsets of the minimal non-(eps-)null cardinality m, so the
     answer is the singleton partition for m <= 1 and the one-block partition
     for m >= 2 (any two histories sit inside a common m-subset).
     """
-    eps = parse_rational(eps)
+    eps = _parse_eps(eps)
     space = theory.space
+    n = space.n
     weight = _uniform_weight(theory)
     if weight is not None and weight > 0:
-        n = space.n
         m = _uniform_min_cardinality(weight, eps)
         if m > n:
             # the whole space is eps-null: no primitive co-events, all
             # histories uncovered
-            return _assemble(theory, (), lambda i: i)
+            return _assemble(space, [])
         if m == 1:
-            dual_masks = [1 << i for i in range(n)]
-            return _assemble(theory, dual_masks, lambda i: i)
+            return _assemble(space, [[1 << i] for i in range(n)])
         count = math.comb(n, m)
         if count > _FAT_CLASS_LIMIT:
             # a single class covering everything; too many duals to list
@@ -299,22 +271,26 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
                 uncovered=(),
             )
             return Partition(space, (space.omega,)), fat_set
-        dual_masks = sorted(
+        return _assemble(space, [sorted(
             sum(1 << i for i in subset) for subset in combinations(range(n), m)
-        )
-        return _assemble(theory, dual_masks, lambda i: 0)
-    dual_masks = theory.minimal_nonnegligible(eps, override_cap)
-    # intersecting duals share a history, so uniting each dual's members
-    # chains them; a class is named by the root of its duals' lowest member
-    uf = _UnionFind(space.n)
-    lowest = [(mask & -mask).bit_length() - 1 for mask in dual_masks]
-    for mask, first in zip(dual_masks, lowest):
-        rest = mask & (mask - 1)
-        while rest:
-            bit = rest & -rest
-            uf.union(first, bit.bit_length() - 1)
-            rest ^= bit
-    return _assemble(theory, dual_masks, lambda i: uf.find(lowest[i]))
+        )])
+    duals = theory._minimal_family(eps, override_cap)
+    holding = [duals & ~lattice._without(k, n) for k in range(n)]  # the duals holding k
+    classes = []
+    done = 0
+    for k in range(n):
+        if done >> k & 1 or not holding[k]:
+            continue
+        # grow the block to the histories of every dual that meets it
+        block, grown = 0, 1 << k
+        while grown != block:
+            block = grown
+            meets = reduce(or_, (holding[j] for j in range(n) if block >> j & 1))
+            grown = sum(1 << j for j in range(n) if meets & holding[j])
+        done |= block
+        classes.append(meets)
+    classes.sort(key=lambda family: family & -family)  # by least dual
+    return _assemble(space, [lattice.members(family) for family in classes])
 
 
 def iter_partitions(space: SampleSpace):

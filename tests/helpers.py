@@ -16,7 +16,10 @@ cover check on sets, every value through ``rational_parts`` in mask order),
 independent of the C-level passes and the one parse per distinct value in
 the library.  The decoherence references add ``ComplexRational`` matrix
 entries one at a time, independent of the integer rows over one common
-denominator that the library sums.
+denominator that the library sums.  The partition references compare every
+null event with every null subset of each block, test each primitive dual
+against each block, and chain duals with a union-find over histories,
+independent of the family passes that answer all three in the library.
 """
 
 from __future__ import annotations
@@ -232,6 +235,74 @@ def brute_minimal_nonnegligible(theory: HistoriesTheory, eps: Fraction) -> tuple
         if minimal:
             out.append(mask)
     return tuple(out)
+
+
+def scan_separable(theory: HistoriesTheory, block_masks) -> bool:
+    """Preclusive separability by scanning: every nonempty trace of a null
+    event on a block lies inside some null event contained in that block."""
+    nulls = [mask for mask, v in enumerate(theory.full_table()) if not v]
+    for block in block_masks:
+        nulls_in_block = [z for z in nulls if z & ~block == 0]
+        for z in nulls:
+            trace = z & block
+            if trace and not any(trace & ~za == 0 for za in nulls_in_block):
+                return False
+    return True
+
+
+def scan_classical_wrt_m(duals, block_masks) -> bool:
+    """Every primitive dual inside some block."""
+    return all(any(d & ~b == 0 for b in block_masks) for d in duals)
+
+
+class _UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[rj] = ri
+
+
+def union_find_principle(duals, n: int) -> dict:
+    """The principle partition from the primitive duals, by uniting each
+    dual's histories in a union-find: blocks, classes (ascending, ordered
+    by least dual), class sizes, fat duals and uncovered histories, as
+    masks."""
+    uf = _UnionFind(n)
+    lowest = [(mask & -mask).bit_length() - 1 for mask in duals]
+    for mask, first in zip(duals, lowest):
+        rest = mask & (mask - 1)
+        while rest:
+            bit = rest & -rest
+            uf.union(first, bit.bit_length() - 1)
+            rest ^= bit
+    by_root: dict[int, list[int]] = {}
+    for mask, first in zip(duals, lowest):
+        by_root.setdefault(uf.find(first), []).append(mask)
+    classes = sorted((sorted(masks) for masks in by_root.values()), key=min)
+    fat = []
+    for masks in classes:
+        union = 0
+        for mask in masks:
+            union |= mask
+        fat.append(union)
+    covered = sum(fat)
+    uncovered = [1 << i for i in range(n) if not covered >> i & 1]
+    return {
+        "blocks": sorted(fat + uncovered, key=lambda b: b & -b),
+        "classes": classes,
+        "class_sizes": [len(masks) for masks in classes],
+        "fat_duals": fat,
+        "uncovered": uncovered,
+    }
 
 
 def literal_interference(theory: HistoriesTheory, *events) -> Fraction:

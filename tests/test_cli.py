@@ -397,3 +397,60 @@ def test_weights_theory_of_4096_histories(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--theory", str(path))
     assert (code, err) == (0, "")
     assert out == "valid\n  warning: event lattice beyond enumeration cap; positivity checked per query only\n"
+
+
+def _table_file(tmp_path, name, value_of):
+    """A table theory of 16 histories, mu(mask) = value_of(mask)."""
+    n = 16
+    doc = {"histories": [f"h{i}" for i in range(n)],
+           "measure": {"type": "table", "values": {hex(m): value_of(m) for m in range(1 << n)}}}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_partition_queries_finish_at_the_cap(capsys, tmp_path):
+    # one weighted history: 2**15 null events, every trace on {h1..h15} null
+    one = _table_file(tmp_path, "one.json", lambda m: str(m & 1))
+    assert run(capsys, "partition", "--theory", one, "--blocks", "0xfffe,0x1", "--check", "separable") == (
+        0, "separable: True\n", "")
+    # mu(A) = |A| but for the null {h0, h1}, whose trace {h0} has no null cover
+    pair = _table_file(tmp_path, "pair.json", lambda m: "0" if m == 0b11 else str(m.bit_count()))
+    assert run(capsys, "partition", "--theory", pair, "--blocks", "0x1,0xfffe", "--check", "separable") == (
+        0, "separable: False\n", "")
+    # uniform: every 8-subset is a primitive dual at eps 1/2, chained into one class
+    uniform = _table_file(tmp_path, "uniform.json", lambda m: f"{m.bit_count()}/16")
+    code, out, err = run(capsys, "partition", "--theory", uniform, "--principle", "--eps", "1/2",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["blocks"], doc["class_sizes"], doc["fat_duals"], doc["uncovered"]) == (
+        ["0xffff"], [12870], ["0xffff"], [])
+    assert run(capsys, "partition", "--theory", uniform, "--blocks", "0xff,0xff00", "--check", "classical-m",
+               "--eps", "1/2") == (0, "classical-m: False\n", "")
+
+
+def test_negative_eps_is_refused(capsys, tmp_path):
+    path = tmp_path / "uniform.json"
+    theory = be.explicit_theory(be.BernoulliModel(2, Fraction(1, 2), Fraction(1, 8)))  # uniform weights
+    path.write_text(json.dumps(theory_to_json(theory)))
+    for argv in (["primitives"], ["partition", "--principle"],
+                 ["partition", "--blocks", "0x1,0x2,0x4,0x8", "--check", "classical-m"]):
+        assert run(capsys, *argv, "--theory", str(path), "--eps=-1/2") == (
+            1, "", "error: eps must be nonnegative\n")
+
+
+def test_classical_m_refuses_above_the_cap(capsys, tmp_path):
+    # non-uniform weights miss the closed form, so the cap must refuse before any block is read
+    small = tmp_path / "w20.json"
+    small.write_text(json.dumps({"histories": [f"h{i}" for i in range(20)],
+                                 "measure": {"type": "weights", "weights": [f"{i + 1}/210" for i in range(20)]}}))
+    code, out, err = run(capsys, "partition", "--theory", str(small), "--blocks", "0x3ff,0xffc00",
+                         "--check", "classical-m")
+    assert (code, out) == (2, "") and "exceeds the enumeration cap of 16" in err
+    big = tmp_path / "w4096.json"
+    big.write_text(json.dumps(theory_to_json(be.explicit_theory(be.BernoulliModel(12, Fraction(1, 3), Fraction(1, 1000))))))
+    low = (1 << 2048) - 1
+    code, out, err = run(capsys, "partition", "--theory", str(big), "--blocks", f"{hex(low)},{hex(low << 2048)}",
+                         "--check", "classical-m")
+    assert (code, out) == (2, "") and "beyond the hard cap" in err

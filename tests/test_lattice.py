@@ -94,6 +94,14 @@ def test_down_closure_and_minimal_members(case):
 
 
 @SMALL
+@given(families(), st.data())
+def test_inside_matches_a_direct_scan(case, data):
+    n, _ = case
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    assert lattice.members(lattice.inside(mask)) == list(submasks(mask))
+
+
+@SMALL
 @given(families())
 def test_z2_moebius_is_subset_parity_and_an_involution(case):
     n, family = case

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmeasure import coevents as cv
 from qmeasure import partitions as pt
@@ -13,9 +15,12 @@ from qmeasure.checks import (
     random_decoherence_theory,
     three_path_theory,
 )
-from qmeasure.core import HistoriesTheory, SampleSpace
+from qmeasure.core import HistoriesTheory, SampleSpace, theory_from_json, theory_to_json
+
+from helpers import scan_classical_wrt_m, scan_separable, union_find_principle
 
 HALF = Fraction(1, 2)
+EPS = (Fraction(0), Fraction(1, 7), Fraction(1, 3))
 
 
 def _partition(space, *mask_groups):
@@ -323,6 +328,132 @@ def test_fat_classes_match_pairwise_chaining():
         covered = _union(fat_masks)
         assert [d.mask for d in fat.uncovered] == [
             1 << i for i in range(theory.space.n) if not covered >> i & 1]
+
+
+# ---------------------------------------------------------------------------
+# The family passes against the references, and under relabelling
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def theories_and_partitions(draw, max_n=7):
+    """A decoherence theory, a classical theory (weights or table) or a
+    table with about 40% of its events zeroed; and a partition of its
+    histories as block masks."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["decoherence", "weights", "classical", "zeroed"]))
+    if kind == "zeroed":
+        space = SampleSpace(tuple(f"h{i}" for i in range(n)))
+        values = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3, -1, HALF]),
+                               min_size=1 << n, max_size=1 << n))
+        theory = HistoriesTheory.from_table(space, dict(enumerate(map(Fraction, values))))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        theory = (random_decoherence_theory(rng, n) if kind == "decoherence"
+                  else random_classical_theory(rng, n, table_form=kind == "classical"))
+    masks = {}
+    for i, b in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+        masks[b] = masks.get(b, 0) | 1 << i
+    return theory, sorted(masks.values())
+
+
+def _table(*values):
+    space = SampleSpace(tuple(f"h{i}" for i in range(len(values).bit_length() - 1)))
+    return HistoriesTheory.from_table(space, dict(enumerate(map(Fraction, values))))
+
+
+def _principle_masks(theory, eps) -> dict:
+    partition, fat = pt.principle_classical_partition(theory, eps)
+    return {
+        "blocks": [block.mask for block in partition.blocks],
+        "classes": [[dual.mask for dual in cls] for cls in fat.classes],
+        "class_sizes": list(fat.class_sizes),
+        "fat_duals": [dual.mask for dual in fat.fat_duals],
+        "uncovered": [single.mask for single in fat.uncovered],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(theories_and_partitions())
+# mu(0) = 1, so no null event lies inside {h1}: the empty trace of the null
+# {h0} on it must not count against separability
+@example((_table(1, 0, 1, 1), [0b01, 0b10]))
+def test_partition_layer_matches_the_references(case):
+    theory, masks = case
+    partition = pt.Partition.of_masks(theory.space, masks)
+    assert pt.is_preclusively_separable(theory, partition) == scan_separable(theory, masks)
+    for eps in EPS:
+        duals = theory.minimal_nonnegligible(eps)
+        assert pt.is_classical_wrt_M(theory, partition, eps) == scan_classical_wrt_m(duals, masks)
+        assert _principle_masks(theory, eps) == union_find_principle(duals, theory.space.n)
+
+
+def _relabel(theory, perm):
+    """The theory with history i renamed perm[i], through its JSON document."""
+    n = theory.space.n
+    doc = theory_to_json(theory)
+    measure = doc["measure"]
+    doc["histories"] = [doc["histories"][perm.index(i)] for i in range(n)]
+    if measure["type"] == "table":
+        measure["values"] = {hex(_move(int(k, 16), perm)): v for k, v in measure["values"].items()}
+    elif measure["type"] == "weights":
+        measure["weights"] = [measure["weights"][perm.index(i)] for i in range(n)]
+    else:
+        old = measure["matrix"]
+        measure["matrix"] = [[old[perm.index(i)][perm.index(j)] for j in range(n)] for i in range(n)]
+    return theory_from_json(doc)
+
+
+def _move(mask, perm):
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+def _fat_by_dual(theory, eps, perm):
+    """The principle partition as order-free data, its masks moved by perm:
+    blocks, each fat dual with its class size and duals, uncovered."""
+    partition, fat = pt.principle_classical_partition(theory, eps)
+    return (
+        {_move(block.mask, perm) for block in partition.blocks},
+        {_move(dual.mask, perm): (size, sorted(_move(d.mask, perm) for d in cls))
+         for dual, size, cls in zip(fat.fat_duals, fat.class_sizes, fat.classes)},
+        {_move(single.mask, perm) for single in fat.uncovered},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(theories_and_partitions(), st.data())
+def test_partition_layer_moves_with_a_relabelling(case, data):
+    theory, masks = case
+    n = theory.space.n
+    perm = data.draw(st.permutations(range(n)))
+    moved = _relabel(theory, perm)
+    identity = list(range(n))
+    partition = pt.Partition.of_masks(theory.space, masks)
+    moved_partition = pt.Partition.of_masks(moved.space, [_move(m, perm) for m in masks])
+    assert pt.is_preclusively_separable(moved, moved_partition) == \
+        pt.is_preclusively_separable(theory, partition)
+    for eps in EPS:
+        assert pt.is_classical_wrt_M(moved, moved_partition, eps) == \
+            pt.is_classical_wrt_M(theory, partition, eps)
+        assert _fat_by_dual(moved, eps, identity) == _fat_by_dual(theory, eps, perm)
+
+
+def test_negative_eps_is_refused_everywhere():
+    space = SampleSpace.of("a", "b", "c")
+    uniform = HistoriesTheory.from_weights(space, [Fraction(1, 3)] * 3)
+    table = HistoriesTheory.from_table(space, dict(enumerate(uniform.full_table())))
+    singletons = pt.Partition.singletons(space)
+    eps = Fraction(-1, 2)
+    for theory in (uniform, table):
+        for call in (
+            lambda: theory.is_negligible(space.omega, eps),
+            lambda: theory.minimal_nonnegligible(eps),
+            lambda: pt.principle_classical_partition(theory, eps),
+            lambda: pt.is_classical_wrt_M(theory, singletons, eps),
+            lambda: cv.primitives(theory, "-1/2"),
+        ):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                call()
 
 
 # ---------------------------------------------------------------------------
