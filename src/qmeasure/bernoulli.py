@@ -11,6 +11,13 @@ other with "no".  All of them read one exact pass over the binomial terms,
 each stepped from the last by an integer ratio; the straddle set and the
 even/odd witness take their cutoff and its tail from a single pass.
 
+Simulated trials read the Mersenne Twister seeded with the given seed: toss
+i is heads exactly when the i-th word u that successive ``getrandbits(64)``
+calls return satisfies u / 2**64 < p.  The words are drawn in chunks of
+``SIMULATE_CHUNK_WORDS`` per ``getrandbits`` call, which yields the same
+words in order, and the top byte of each word decides its toss except in the
+one byte value that ties with the threshold's.
+
 A small bridge to explicit theories is included for cross-checks: for a
 modest number of tosses the full product space can be materialized as a
 weights-backed histories theory whose histories are the outcome sequences.
@@ -25,10 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Event, HistoriesTheory, SampleSpace, SizeCapError
-from .exact import ceil_rational, parse_rational
+from .exact import ceil_rational, parse_rational, rational_parts
 
 #: Explicit product theories (2**n histories) are refused above this many tosses.
 EXPLICIT_TOSS_CAP = 12
+
+#: 64-bit words drawn per ``getrandbits`` call in ``simulate``: 512 KiB of
+#: draws held at a time, whatever the number of tosses.
+SIMULATE_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -42,12 +53,14 @@ class BernoulliModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one trial")
-        object.__setattr__(self, "p", parse_rational(self.p))
-        object.__setattr__(self, "eps", parse_rational(self.eps))
-        if not 0 <= self.p <= 1:
+        p, eps = parse_rational(self.p), parse_rational(self.eps)
+        # a Fraction's denominator is positive
+        if not 0 <= p.numerator <= p.denominator:
             raise ValueError("heads probability must lie in [0, 1]")
-        if not 0 < self.eps <= 1:
+        if not 0 < eps.numerator <= eps.denominator:
             raise ValueError("threshold must lie in (0, 1]")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "eps", eps)
 
 
 @dataclass(frozen=True)
@@ -332,30 +345,45 @@ def hypothesis_test(sequence: TrialSequence, p0, eps) -> HypothesisTestResult:
     Rejects at the eps level when the lower-tail mass at the observed heads
     count falls below eps; a heads-heavy sequence therefore never rejects.
     """
-    p0 = parse_rational(p0)
-    eps = parse_rational(eps)
     model = BernoulliModel(sequence.n, p0, eps)
-    tail = cumulative(model, sequence.heads)
-    decision = "Reject" if tail < eps else "FailToReject"
-    return HypothesisTestResult(decision, sequence.heads, tail, eps)
+    heads = sequence.heads
+    tail = cumulative(model, heads)
+    decision = "Reject" if tail < model.eps else "FailToReject"
+    return HypothesisTestResult(decision, heads, tail, model.eps)
 
 
 def simulate(n: int, p, seed: int) -> TrialSequence:
     """Deterministic i.i.d. Bernoulli draws.
 
-    Each trial consumes one 64-bit word u from the Mersenne Twister seeded
-    with ``seed`` (``random.Random(seed).getrandbits(64)``); the outcome is
-    heads exactly when u / 2**64 < p, compared by integer cross
-    multiplication so the threshold is exact.
+    Toss i reads the i-th 64-bit word u that successive calls of
+    ``random.Random(seed).getrandbits(64)`` return (the Mersenne Twister) and
+    is heads exactly when u / 2**64 < p = a/q, i.e. when u is below
+    bound = ceil(a * 2**64 / q); the threshold is exact.  The words are drawn
+    ``SIMULATE_CHUNK_WORDS`` to a ``getrandbits`` call, which returns the same
+    words with the first in the low bits.  A word's top byte decides its toss
+    unless it equals the top byte of bound; that tie (about one toss in 256)
+    compares the whole word.
     """
-    p = parse_rational(p)
-    if not 0 <= p <= 1:
+    a, q = rational_parts(p)
+    if not 0 <= a <= q:
         raise ValueError("heads probability must lie in [0, 1]")
+    if n < 1:
+        raise ValueError("outcomes must be a nonempty string over {h, t}")
+    bound = -(-a << 64) // q
+    top = bound >> 56  # 256 when p = 1: every byte is below it
+    by_top_byte = (b"h" * top + b"?" + b"t" * 255)[:256]
     draw = random.Random(seed).getrandbits
-    num_shifted = p.numerator << 64
-    den = p.denominator
-    chars = ["h" if draw(64) * den < num_shifted else "t" for _ in range(n)]
-    return TrialSequence("".join(chars))
+    chunks = []
+    for start in range(0, n, SIMULATE_CHUNK_WORDS):
+        k = min(SIMULATE_CHUNK_WORDS, n - start)
+        words = draw(64 * k).to_bytes(8 * k, "little")
+        tosses = bytearray(words[7::8].translate(by_top_byte))
+        i = tosses.find(b"?")
+        while i >= 0:
+            tosses[i] = b"th"[int.from_bytes(words[8 * i:8 * i + 8], "little") < bound]
+            i = tosses.find(b"?", i + 1)
+        chunks.append(tosses.decode())
+    return TrialSequence("".join(chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,7 @@ def classify(phi: CoEvent, theory: HistoriesTheory, eps=ZERO, override_cap: bool
         classical = base.cardinality == 1
         preclusive = is_preclusive(mult, theory, eps, override_cap)
         if preclusive:
-            minimal = theory.minimal_nonnegligible(eps, override_cap)
-            primitive = base.mask in minimal
+            primitive = bool(theory._minimal_family(eps, override_cap) >> base.mask & 1)
     else:
         # general co-event: preclusion scans the events it affirms
         preclusive = all(

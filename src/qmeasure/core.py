@@ -375,6 +375,7 @@ class HistoriesTheory:
         self.measure = measure
         self._ints = measure.ints if isinstance(measure, TableMeasure) else None
         self._negligible_cache: dict[Fraction, int] = {}
+        self._minimal_cache: dict[Fraction, int] = {}
         self._nulls: int | None = None  # the null family, built on first use
 
     # -- constructors --------------------------------------------------
@@ -564,11 +565,14 @@ class HistoriesTheory:
 
     def _minimal_family(self, eps: Fraction, override_cap: bool) -> int:
         """The family of the minimal non-(eps-)negligible events."""
-        n = self.space.n
         fam = self._negligible_masks(eps, override_cap)  # refuses above the cap
-        everything = (1 << (1 << n)) - 1
-        # the empty event is never a dual
-        return lattice.minimal(everything ^ fam, n) & ~1
+        minimal = self._minimal_cache.get(eps)
+        if minimal is None:
+            n = self.space.n
+            everything = (1 << (1 << n)) - 1
+            # the empty event is never a dual
+            minimal = self._minimal_cache[eps] = lattice.minimal(everything ^ fam, n) & ~1
+        return minimal
 
     # -- interference hierarchy ------------------------------------------
 

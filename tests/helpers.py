@@ -20,12 +20,16 @@ denominator that the library sums.  The partition references compare every
 null event with every null subset of each block, test each primitive dual
 against each block, and chain duals with a union-find over histories,
 independent of the family passes that answer all three in the library.
+The simulation reference draws one ``getrandbits(64)`` word per toss and
+compares it with p by cross multiplication, independent of the chunked draws
+and the top-byte table in the library.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -376,6 +380,14 @@ def direct_tail_cutoff(n: int, p: Fraction, eps: Fraction) -> tuple[int | None, 
     tail numerator there; None and 0 when no count qualifies."""
     below = [t for t in direct_tail_numerators(n, p) if Fraction(t, p.denominator**n) < eps]
     return (len(below) - 1, below[-1]) if below else (None, 0)
+
+
+def direct_simulate(n: int, p: Fraction, seed: int) -> str:
+    """The outcome string of n tosses: toss i is heads exactly when the i-th
+    ``getrandbits(64)`` word u of ``random.Random(seed)`` has u / 2**64 < p."""
+    draw = random.Random(seed).getrandbits
+    num_shifted = p.numerator << 64
+    return "".join("h" if draw(64) * p.denominator < num_shifted else "t" for _ in range(n))
 
 
 class ExactSimplex:

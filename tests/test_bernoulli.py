@@ -10,7 +10,7 @@ from qmeasure import bernoulli as be
 from qmeasure import coevents as cv
 from qmeasure.core import SizeCapError, format_rational
 
-from helpers import direct_tail_cutoff, direct_tail_numerators
+from helpers import direct_simulate, direct_tail_cutoff, direct_tail_numerators
 
 HALF = Fraction(1, 2)
 MILLI = Fraction(1, 1000)
@@ -384,6 +384,58 @@ def test_simulate_degenerate_probabilities():
 def test_simulate_frequency_sanity():
     seq = be.simulate(2000, Fraction(1, 3), 5)
     assert abs(seq.heads / 2000 - 1 / 3) < 0.05
+
+
+@st.composite
+def heads_probabilities(draw):
+    """p with a power-of-two denominator up to 2**70, with any denominator,
+    or within 2**-64 of a multiple of 1/256, where the top byte of the
+    threshold ties with a word's."""
+    kind = draw(st.sampled_from(("dyadic", "any", "tie")))
+    if kind == "dyadic":
+        q = 1 << draw(st.integers(0, 70))
+    elif kind == "any":
+        q = draw(st.integers(1, 2**70))
+    else:
+        a = (draw(st.integers(0, 256)) << 56) + draw(st.integers(-1, 1))
+        return Fraction(min(max(a, 0), 2**64), 2**64)
+    return Fraction(draw(st.integers(0, q)), q)
+
+
+SEEDS = st.integers(-(2**80), 2**80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), heads_probabilities(), SEEDS,
+       st.integers(1, 1000).map(lambda k: Fraction(k, 1000)))
+def test_simulate_and_test_match_the_per_word_loop(n, p, seed, eps):
+    sequence = be.simulate(n, p, seed)
+    assert sequence.outcomes == direct_simulate(n, p, seed)
+    result = be.hypothesis_test(sequence, p, eps)
+    tail = Fraction(direct_tail_numerators(n, p)[sequence.heads], p.denominator**n)
+    assert result.heads == sequence.heads
+    assert result.cumulative == tail
+    assert result.rejected == (tail < eps)
+
+
+@pytest.mark.parametrize("n", [be.SIMULATE_CHUNK_WORDS + d for d in (-1, 0, 1)])
+@pytest.mark.parametrize("p, seed", [
+    (Fraction(1, 3), 7), (Fraction(128, 256), -11), (Fraction(2**63 + 1, 2**64), 2**64 + 5),
+])
+def test_simulate_matches_the_per_word_loop_across_chunks(n, p, seed):
+    assert be.simulate(n, p, seed).outcomes == direct_simulate(n, p, seed)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_simulate_refuses_an_empty_run(n):
+    with pytest.raises(ValueError, match=r"^outcomes must be a nonempty string over \{h, t\}$"):
+        be.simulate(n, HALF, 1)
+
+
+@pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2), "-1/2", "3/2"])
+def test_simulate_refuses_a_probability_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"^heads probability must lie in \[0, 1\]$"):
+        be.simulate(10, p, 1)
 
 
 # ---------------------------------------------------------------------------

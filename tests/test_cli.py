@@ -276,6 +276,17 @@ def test_coin_tail_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TAIL_1000_THIRD_SHA256
 
 
+#: sha256 of ``hypothesis --n 20000 --p0 1/3 --eps 1/100 --seed 7``, recorded
+#: when every toss drew its own ``getrandbits(64)`` word.
+HYPOTHESIS_20000_SHA256 = "5cf6c4b0a85efdbce3711a00f8ea61bad4bc124d639a3e7ca7bc9f580a5411a6"
+
+
+def test_hypothesis_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "hypothesis", "--n", "20000", "--p0", "1/3", "--eps", "1/100", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HYPOTHESIS_20000_SHA256
+
+
 def test_coin_outputs_print_beyond_the_int_string_limit(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "coin", "straddle", "--n", "14400", "--p", "1/2", "--eps", "1/100")

@@ -271,6 +271,23 @@ def test_classify_flag_implications():
         assert cv.classify(gamma, theory, eps).classical
 
 
+def test_classify_primitive_is_membership_in_the_minimal_family():
+    rng = random.Random(23)
+    cases = []
+    for _ in range(6):
+        theory = random_decoherence_theory(rng, rng.randint(2, 6))
+        eps = Fraction(rng.randint(0, 3), 10)
+        cases.append((theory, eps, range(1, 1 << theory.space.n)))
+    space16 = SampleSpace.of(*(f"h{i}" for i in range(16)))
+    uniform16 = HistoriesTheory.from_table(space16, {m: Fraction(m.bit_count(), 16) for m in range(1 << 16)})
+    cases.append((uniform16, HALF, [rng.randrange(1, 1 << 16) for _ in range(300)]))
+    for theory, eps, masks in cases:
+        duals = set(theory.minimal_nonnegligible(eps))
+        for mask in masks:
+            flags = cv.classify(cv.CoEvent(theory.space, dual_mask=mask), theory, eps)
+            assert flags.primitive == (mask in duals)
+
+
 # ---------------------------------------------------------------------------
 # JSON interface
 # ---------------------------------------------------------------------------
