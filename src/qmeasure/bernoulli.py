@@ -10,6 +10,9 @@ tail co-events of one sub-experiment answer both tail propositions of the
 other with "no".  All of them read one exact pass over the binomial terms,
 each stepped from the last by an integer ratio; the straddle set and the
 even/odd witness take their cutoff and its tail from a single pass.
+``cumulative`` memoises its mass on (tosses, p, heads count), never on eps,
+for the ``LOWER_TAIL_CACHE_SIZE`` most recently used keys, so a calibration
+run of many trials of one coin walks each tail once, not once per trial.
 
 Simulated trials read the Mersenne Twister seeded with the given seed: toss
 i is heads exactly when the i-th word u that successive ``getrandbits(64)``
@@ -25,8 +28,10 @@ weights-backed histories theory whose histories are the outcome sequences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +45,10 @@ EXPLICIT_TOSS_CAP = 12
 #: 64-bit words drawn per ``getrandbits`` call in ``simulate``: 512 KiB of
 #: draws held at a time, whatever the number of tosses.
 SIMULATE_CHUNK_WORDS = 1 << 16
+
+#: Lower-tail masses ``cumulative`` keeps, keyed on (tosses, p, heads count):
+#: a run of 100-toss trials reads at most 101 of them.
+LOWER_TAIL_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,8 @@ class TrialSequence:
     outcomes: str
 
     def __post_init__(self):
-        if not self.outcomes or set(self.outcomes) - {"h", "t"}:
+        outcomes = self.outcomes
+        if not outcomes or outcomes.count("h") + outcomes.count("t") != len(outcomes):
             raise ValueError("outcomes must be a nonempty string over {h, t}")
 
     @property
@@ -83,7 +93,8 @@ class TrialSequence:
 
 
 def _check_heads(model: BernoulliModel, heads: int) -> None:
-    if not 0 <= heads <= model.n:
+    # operator.index refuses a float count such as 2.0 with TypeError
+    if not 0 <= operator.index(heads) <= model.n:
         raise ValueError(f"heads count {heads} out of range 0..{model.n}")
 
 
@@ -100,16 +111,15 @@ def prob_heads_count(model: BernoulliModel, heads: int) -> Fraction:
     return math.comb(model.n, heads) * prob_history(model, heads)
 
 
-def _tail_numerators(model: BernoulliModel):
-    """Yield the lower-tail numerators over q**n for heads = 0..n, where
-    p = a/q, in one exact pass.
+def _tail_numerators(n: int, p: Fraction):
+    """Yield the lower-tail numerators over q**n of n tosses for heads =
+    0..n, where p = a/q, in one exact pass.
 
     The term C(n,m) * a**m * b**(n-m) (b = q - a) is stepped by the exact
     integer ratio t(m+1) = t(m) * (n-m) * a / ((m+1) * b).
     """
-    n = model.n
-    a = model.p.numerator
-    b = model.p.denominator - a
+    a = p.numerator
+    b = p.denominator - a
     if b == 0:  # p = 1: every toss lands heads
         yield from (int(m == n) for m in range(n + 1))
         return
@@ -121,15 +131,22 @@ def _tail_numerators(model: BernoulliModel):
         term = term * (n - m) * a // ((m + 1) * b)
 
 
+@functools.lru_cache(maxsize=LOWER_TAIL_CACHE_SIZE)
+def _lower_tail(n: int, p: Fraction, heads: int) -> Fraction:
+    running = next(itertools.islice(_tail_numerators(n, p), heads, None))
+    return Fraction(running, p.denominator**n)
+
+
 def cumulative(model: BernoulliModel, heads: int) -> Fraction:
     """Probability that the number of heads is at most the given count.
 
     Monotone nondecreasing in the count and equal to one at n.  The count
-    zero term is included.
+    zero term is included.  The mass is memoised on (n, p, heads), never on
+    eps, for the ``LOWER_TAIL_CACHE_SIZE`` most recently used keys.  A count
+    that is not an integer (2.0) raises TypeError.
     """
     _check_heads(model, heads)
-    running = next(itertools.islice(_tail_numerators(model), heads, None))
-    return Fraction(running, model.p.denominator**model.n)
+    return _lower_tail(model.n, model.p, heads)
 
 
 def _cutoff_and_tail(model: BernoulliModel) -> tuple[int | None, int]:
@@ -138,7 +155,7 @@ def _cutoff_and_tail(model: BernoulliModel) -> tuple[int | None, int]:
     # compare running / q**n < eps by integer cross-multiplication
     bound = model.eps.numerator * model.p.denominator**model.n
     cutoff, tail = None, 0
-    for m, running in enumerate(_tail_numerators(model)):
+    for m, running in enumerate(_tail_numerators(model.n, model.p)):
         if running * model.eps.denominator >= bound:
             break
         cutoff, tail = m, running
@@ -179,7 +196,7 @@ def tail_rows(model: BernoulliModel):
         return f"{x // g}{spelled[g]}"
 
     previous = 0
-    for m, running in enumerate(_tail_numerators(model)):
+    for m, running in enumerate(_tail_numerators(model.n, model.p)):
         yield m, spell(running - previous), spell(running)
         previous = running
 

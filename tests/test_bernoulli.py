@@ -40,10 +40,9 @@ def test_trial_sequence():
     seq = be.TrialSequence("hhtht")
     assert seq.n == 5
     assert seq.heads == 3
-    with pytest.raises(ValueError):
-        be.TrialSequence("hxh")
-    with pytest.raises(ValueError):
-        be.TrialSequence("")
+    for outcomes in ("hxh", "", "thx", "xht", "hth ", "hté"):
+        with pytest.raises(ValueError, match=r"^outcomes must be a nonempty string over \{h, t\}$"):
+            be.TrialSequence(outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +84,32 @@ def test_cumulative_against_explicit_enumeration():
             if mask.bit_count() <= k:
                 total += be.prob_history(model, mask.bit_count())
         assert be.cumulative(model, k) == total
+
+
+def test_cumulative_refuses_a_count_that_is_not_an_integer():
+    # whether or not the memo already holds the mass at 2 heads
+    model = fair(10)
+    be._lower_tail.cache_clear()
+    with pytest.raises(TypeError):
+        be.cumulative(model, 2.0)
+    assert be.cumulative(model, 2) == Fraction(1 + 10 + 45, 2**10)
+    with pytest.raises(TypeError):
+        be.cumulative(model, 2.0)
+    with pytest.raises(TypeError):
+        be.prob_history(model, 2.0)
+
+
+def test_lower_tail_memo_stays_within_its_bound():
+    n, p = be.LOWER_TAIL_CACHE_SIZE + 20, Fraction(1, 3)
+    tails = direct_tail_numerators(n, p)
+    be._lower_tail.cache_clear()
+    for heads in range(n + 1):
+        model = be.BernoulliModel(n, p, Fraction(1, 1 + heads % 7))
+        assert be.cumulative(model, heads) == Fraction(tails[heads], 3**n)
+        assert be._lower_tail.cache_info().currsize <= be.LOWER_TAIL_CACHE_SIZE
+    assert be._lower_tail.cache_info().currsize == be.LOWER_TAIL_CACHE_SIZE
+    # the oldest keys were dropped and are walked again, to the same mass
+    assert be.cumulative(be.BernoulliModel(n, p, MILLI), 0) == Fraction(tails[0], 3**n)
 
 
 def test_tail_cutoff_values():
@@ -403,19 +428,24 @@ def heads_probabilities(draw):
 
 
 SEEDS = st.integers(-(2**80), 2**80)
+THRESHOLDS = st.integers(1, 1000).map(lambda k: Fraction(k, 1000))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 300), heads_probabilities(), SEEDS,
-       st.integers(1, 1000).map(lambda k: Fraction(k, 1000)))
-def test_simulate_and_test_match_the_per_word_loop(n, p, seed, eps):
+@given(st.integers(1, 300), heads_probabilities(), SEEDS, THRESHOLDS, THRESHOLDS)
+@example(100, HALF, 1, Fraction(1, 100), Fraction(1, 2))
+def test_simulate_and_test_match_the_per_word_loop(n, p, seed, eps, other_eps):
     sequence = be.simulate(n, p, seed)
     assert sequence.outcomes == direct_simulate(n, p, seed)
-    result = be.hypothesis_test(sequence, p, eps)
     tail = Fraction(direct_tail_numerators(n, p)[sequence.heads], p.denominator**n)
-    assert result.heads == sequence.heads
-    assert result.cumulative == tail
-    assert result.rejected == (tail < eps)
+    # the memoised tail is read again under another eps and with p spelled
+    # as text ("1/2" for Fraction(1, 2)), and must not change with either
+    for p0, threshold in ((p, eps), (p, other_eps), (str(p), eps), (p, eps)):
+        result = be.hypothesis_test(sequence, p0, threshold)
+        assert result.heads == sequence.heads
+        assert result.cumulative == tail
+        assert result.eps == threshold
+        assert result.rejected == (tail < threshold)
 
 
 @pytest.mark.parametrize("n", [be.SIMULATE_CHUNK_WORDS + d for d in (-1, 0, 1)])
