@@ -20,7 +20,6 @@ from . import dynamics as dy
 from . import lattice
 from . import partitions as pt
 from .core import HistoriesTheory, SampleSpace
-from .exact import ComplexRational
 
 HALF = Fraction(1, 2)
 MILLI = Fraction(1, 1000)
@@ -57,9 +56,9 @@ def coin_theory(p) -> HistoriesTheory:
 def three_path_theory() -> HistoriesTheory:
     """Three histories with amplitudes (1, -1, 1): pairwise destructive
     interference, null events {a,b} and {b,c}, and measure 4 on {a,c}."""
-    amps = [ComplexRational.of(1), ComplexRational.of(-1), ComplexRational.of(1)]
-    matrix = [[amps[i] * amps[j].conjugate() for j in range(3)] for i in range(3)]
-    return HistoriesTheory.from_decoherence(SampleSpace.of("a", "b", "c"), matrix)
+    amps = (1, -1, 1)
+    return HistoriesTheory.from_decoherence(
+        SampleSpace.of("a", "b", "c"), [[[x * y, 0] for y in amps] for x in amps])
 
 
 def random_classical_theory(rng: random.Random, n: int, table_form: bool = True) -> HistoriesTheory:
@@ -70,57 +69,35 @@ def random_classical_theory(rng: random.Random, n: int, table_form: bool = True)
         total = sum(raw)
         if total:
             break
-    weights = [Fraction(r, total) for r in raw]
+    theory = HistoriesTheory.from_weights(space, [Fraction(r, total) for r in raw])
     if not table_form:
-        return HistoriesTheory.from_weights(space, weights)
-    values = {}
-    for mask in range(1 << n):
-        acc = Fraction(0)
-        for i in range(n):
-            if mask >> i & 1:
-                acc += weights[i]
-        values[mask] = acc
-    return HistoriesTheory.from_table(space, values)
+        return theory
+    return HistoriesTheory.from_table(space, dict(enumerate(theory.full_table())))
 
 
 def random_decoherence_theory(rng: random.Random, n: int) -> HistoriesTheory:
     """Random positive decoherence functional built from amplitude mixtures.
 
     Entries are sums of rank-one terms w_k v_i conj(v_j) with small random
-    complex-rational amplitudes, normalized so the full block sums to one;
+    integer amplitudes v = a + ib, normalized so the full block sums to one;
     positivity of every block sum and Hermiticity hold by construction.
     """
     space = SampleSpace(tuple(f"g{i}" for i in range(n)))
     while True:
         rank = rng.randint(1, 2)
         weights = [rng.randint(1, 3) for _ in range(rank)]
-        vectors = [
-            [
-                ComplexRational(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
-                for _ in range(n)
-            ]
-            for _ in range(rank)
-        ]
-        total = Fraction(0)
-        for w, vec in zip(weights, vectors):
-            s = ComplexRational(Fraction(0), Fraction(0))
-            for entry in vec:
-                s = s + entry
-            total += w * (s.real * s.real + s.imag * s.imag)
-        if total == 0:
-            continue
-        scale = Fraction(1, 1) / total
-        matrix = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ComplexRational(Fraction(0), Fraction(0))
-                for w, vec in zip(weights, vectors):
-                    term = vec[i] * vec[j].conjugate()
-                    acc = acc + ComplexRational(w * term.real, w * term.imag)
-                row.append(ComplexRational(acc.real * scale, acc.imag * scale))
-            matrix.append(row)
-        return HistoriesTheory.from_decoherence(space, matrix)
+        vectors = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)] for _ in range(rank)]
+        # D(Omega, Omega) = sum_k w_k |sum_i v_i|^2
+        total = sum(w * (sum(a for a, _ in vec) ** 2 + sum(b for _, b in vec) ** 2)
+                    for w, vec in zip(weights, vectors))
+        if total:
+            break
+    terms = list(zip(weights, vectors))
+    # v_i conj(v_j) = (a_i a_j + b_i b_j) + i (b_i a_j - a_i b_j)
+    matrix = [[[Fraction(sum(w * (v[i][0] * v[j][0] + v[i][1] * v[j][1]) for w, v in terms), total),
+                Fraction(sum(w * (v[i][1] * v[j][0] - v[i][0] * v[j][1]) for w, v in terms), total)]
+               for j in range(n)] for i in range(n)]
+    return HistoriesTheory.from_decoherence(space, matrix)
 
 
 def _dual_masks(coevs) -> set[int]:

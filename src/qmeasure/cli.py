@@ -313,7 +313,7 @@ def _cmd_feasibility(args) -> int:
 def _cmd_hypothesis(args) -> int:
     p0 = parse_rational(args.p0)
     eps = parse_rational(args.eps)
-    if args.sequence:
+    if args.sequence is not None:
         sequence = be.TrialSequence(args.sequence)
         if args.n is not None and args.n != sequence.n:
             raise ValueError("--n disagrees with the length of --sequence")

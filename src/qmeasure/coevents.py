@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import and_
 
-from .core import Event, HistoriesTheory, SampleSpace, format_mask, parse_mask
-from .exact import parse_rational
+from .core import Event, HistoriesTheory, SampleSpace, _parse_eps, format_mask, parse_mask
 
 ZERO = Fraction(0)
 
@@ -168,7 +167,7 @@ def is_preclusive(phi: CoEvent, theory: HistoriesTheory, eps=ZERO, override_cap:
     (eps-)null superset, i.e. the dual is not (eps-)negligible.
     """
     base = _require_multiplicative(phi)
-    return not theory.is_negligible(base, parse_rational(eps), override_cap)
+    return not theory.is_negligible(base, _parse_eps(eps), override_cap)
 
 
 def dominates(psi: CoEvent, phi: CoEvent) -> bool:
@@ -189,7 +188,7 @@ def primitives(theory: HistoriesTheory, eps=ZERO, override_cap: bool = False) ->
     in ascending dual-mask order.  Nonempty whenever the whole sample space
     is not itself (eps-)null.
     """
-    masks = theory.minimal_nonnegligible(parse_rational(eps), override_cap)
+    masks = theory.minimal_nonnegligible(_parse_eps(eps), override_cap)
     return tuple(CoEvent(theory.space, dual_mask=mask) for mask in masks)
 
 
@@ -214,7 +213,7 @@ def is_classical_on(phi: CoEvent, partition) -> bool:
 def classify(phi: CoEvent, theory: HistoriesTheory, eps=ZERO, override_cap: bool = False) -> CoEventClass:
     """Flags for one co-event: multiplicativity, classicality (homomorphism),
     (eps-)preclusion and (eps-)primitivity."""
-    eps = parse_rational(eps)
+    eps = _parse_eps(eps)
     multiplicative = phi.is_multiplicative()
     classical = False
     preclusive = False

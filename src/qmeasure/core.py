@@ -541,6 +541,7 @@ class HistoriesTheory:
     def is_null(self, event: Event, eps: Fraction = ZERO) -> bool:
         """measure == 0 at eps == 0; measure < eps at eps > 0."""
         self._check_event(event)
+        eps = _parse_eps(eps)
         value = self.mu(event)
         return value == 0 if eps == 0 else value < eps
 

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rational parsing and complex numbers over the rationals.
+"""Exact scalars: rational parsing, and the exact (real, imag) value at the boundary.
 
 Every numeric quantity in this package is an exact rational.  Preclusion is
 the predicate ``measure == 0`` and approximate preclusion is ``measure < eps``;
@@ -65,7 +65,8 @@ def ceil_rational(value: Fraction) -> int:
 
 @dataclass(frozen=True)
 class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """The exact (real, imag) value of a decoherence entry at the boundary,
+    as ``decoherence_value`` returns it and ``from_decoherence`` accepts it."""
 
     real: Fraction
     imag: Fraction
@@ -76,26 +77,6 @@ class ComplexRational:
 
     def __add__(self, other: "ComplexRational") -> "ComplexRational":
         return ComplexRational(self.real + other.real, self.imag + other.imag)
-
-    def __sub__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.real - other.real, self.imag - other.imag)
-
-    def __mul__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.real, -self.imag)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.real == 0 and self.imag == 0
-
-    @property
-    def is_real(self) -> bool:
-        return self.imag == 0
 
     def __repr__(self) -> str:
         return f"({self.real}{'+' if self.imag >= 0 else ''}{self.imag}i)"

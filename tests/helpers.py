@@ -14,12 +14,13 @@ passes over implicit rows in the library.  The table-load reference reads
 a theory file's table entry by entry (every key through ``parse_mask``, the
 cover check on sets, every value through ``rational_parts`` in mask order),
 independent of the C-level passes and the one parse per distinct value in
-the library.  The decoherence references add ``ComplexRational`` matrix
-entries one at a time, independent of the integer rows over one common
-denominator that the library sums.  The partition references compare every
-null event with every null subset of each block, test each primitive dual
-against each block, and chain duals with a union-find over histories,
-independent of the family passes that answer all three in the library.
+the library.  The decoherence references add the real and imaginary parts
+of the matrix entries one at a time, independent of the integer rows over
+one common denominator that the library sums.  The partition references
+compare every null event with every null subset of each block, test each
+primitive dual against each block, and chain duals with a union-find over
+histories, independent of the family passes that answer all three in the
+library.
 The simulation reference draws one ``getrandbits(64)`` word per toss and
 compares it with p by cross multiplication, independent of the chunked draws
 and the top-byte table in the library.
@@ -169,7 +170,9 @@ def amplitude_theory(amplitudes) -> HistoriesTheory:
         for a in amplitudes
     ]
     labels = tuple(chr(ord("a") + i) for i in range(len(amps)))
-    matrix = [[x * y.conjugate() for y in amps] for x in amps]
+    # x conj(y) = (x.re y.re + x.im y.im) + i (x.im y.re - x.re y.im)
+    matrix = [[ComplexRational(x.real * y.real + x.imag * y.imag, x.imag * y.real - x.real * y.imag)
+               for y in amps] for x in amps]
     return HistoriesTheory.from_decoherence(SampleSpace(labels), matrix)
 
 
@@ -202,7 +205,7 @@ def decoherence_axioms_reference(matrix) -> tuple[list[str], str | None]:
     D(Omega, Omega) is not 1 (None when it is)."""
     n = len(matrix)
     broken = [f"({i},{j})" for i in range(n) for j in range(n)
-              if matrix[i][j] != matrix[j][i].conjugate()]
+              if matrix[i][j] != ComplexRational(matrix[j][i].real, -matrix[j][i].imag)]
     full = (1 << n) - 1
     total = block_sum_reference(matrix, full, full)
     return broken, None if total == ComplexRational(ONE, ZERO) else f"D(Omega,Omega) = {total!r}, expected 1"

@@ -238,6 +238,15 @@ def test_hypothesis_with_sequence(capsys):
     assert doc["cumulative"] == "1/1048576"
 
 
+@pytest.mark.parametrize("extra", [(), ("--n", "5")])
+def test_hypothesis_refuses_an_empty_sequence(capsys, extra):
+    """An empty --sequence is a sequence given, refused by TrialSequence,
+    not a request to simulate --n tosses."""
+    code, out, err = run(capsys, "hypothesis", "--p0", "1/2", "--eps", "1/100", "--sequence", "", *extra)
+    assert (code, out) == (1, "")
+    assert err == "error: outcomes must be a nonempty string over {h, t}\n"
+
+
 def test_hypothesis_simulated_deterministic(capsys):
     args = ("hypothesis", "--n", "50", "--p0", "1/2", "--eps", "1/100",
             "--seed", "9", "--format", "json")

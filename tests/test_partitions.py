@@ -451,6 +451,10 @@ def test_negative_eps_is_refused_everywhere():
             lambda: pt.principle_classical_partition(theory, eps),
             lambda: pt.is_classical_wrt_M(theory, singletons, eps),
             lambda: cv.primitives(theory, "-1/2"),
+            lambda: cv.is_preclusive(cv.CoEvent.from_dual(space.omega), theory, eps),
+            lambda: cv.classify(cv.CoEvent.from_dual(space.omega), theory, "-1/2"),
+            lambda: cv.classify(cv.CoEvent.from_table(space, [0b001, 0b010]), theory, "-1/2"),
+            lambda: theory.is_null(space.omega, -1),
         ):
             with pytest.raises(ValueError, match="eps must be nonnegative"):
                 call()
