@@ -16,7 +16,7 @@ measure below eps.  A preclusive multiplicative co-event is *primitive* when
 no other preclusive multiplicative co-event strictly dominates it; dominance
 is strict refinement of duals, so primitivity picks out the finest-grained
 answers compatible with preclusion.  Primitive duals are exactly the minimal
-events without an (eps-)null superset.
+nonempty events without an (eps-)null superset.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def is_preclusive(phi: CoEvent, theory: HistoriesTheory, eps=ZERO, override_cap:
     (eps-)null superset, i.e. the dual is not (eps-)negligible.
     """
     base = _require_multiplicative(phi)
-    return not theory.is_negligible(base, _parse_eps(eps), override_cap)
+    return not theory.is_negligible(base, eps, override_cap)
 
 
 def dominates(psi: CoEvent, phi: CoEvent) -> bool:
@@ -184,11 +184,11 @@ def dominates(psi: CoEvent, phi: CoEvent) -> bool:
 def primitives(theory: HistoriesTheory, eps=ZERO, override_cap: bool = False) -> tuple[CoEvent, ...]:
     """All primitive (eps-)preclusive multiplicative co-events.
 
-    Their duals are the minimal events with no (eps-)null superset, returned
-    in ascending dual-mask order.  Nonempty whenever the whole sample space
-    is not itself (eps-)null.
+    Their duals are the minimal nonempty events with no (eps-)null superset,
+    returned in ascending dual-mask order.  Nonempty whenever the whole
+    sample space is not itself (eps-)null.
     """
-    masks = theory.minimal_nonnegligible(_parse_eps(eps), override_cap)
+    masks = theory.minimal_nonnegligible(eps, override_cap)
     return tuple(CoEvent(theory.space, dual_mask=mask) for mask in masks)
 
 
@@ -219,12 +219,10 @@ def classify(phi: CoEvent, theory: HistoriesTheory, eps=ZERO, override_cap: bool
     preclusive = False
     primitive = False
     if multiplicative:
-        mult = phi.to_multiplicative()
-        base = mult.dual_event()
+        base = phi.to_multiplicative().dual_event()
         classical = base.cardinality == 1
-        preclusive = is_preclusive(mult, theory, eps, override_cap)
-        if preclusive:
-            primitive = bool(theory._minimal_family(eps, override_cap) >> base.mask & 1)
+        preclusive = not theory.is_negligible(base, eps, override_cap)
+        primitive = preclusive and bool(theory._families(eps, override_cap)[2] >> base.mask & 1)
     else:
         # general co-event: preclusion scans the events it affirms
         preclusive = all(

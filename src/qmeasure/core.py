@@ -171,11 +171,6 @@ class SampleSpace:
     def singletons(self) -> tuple["Event", ...]:
         return tuple(Event(self, 1 << i) for i in range(self.n))
 
-    def all_events(self):
-        """Iterate every event in ascending mask order (2**n of them)."""
-        for mask in range(1 << self.n):
-            yield Event(self, mask)
-
     def parse_event(self, text: str) -> "Event":
         return self.event_from_mask(parse_mask(text))
 
@@ -264,6 +259,7 @@ class TableMeasure:
     denominator."""
 
     kind = "table"
+    additive = False
 
     def __init__(self, n: int, values):
         if n > STORAGE_CAP:
@@ -374,9 +370,7 @@ class HistoriesTheory:
         self.space = space
         self.measure = measure
         self._ints = measure.ints if isinstance(measure, TableMeasure) else None
-        self._negligible_cache: dict[Fraction, int] = {}
-        self._minimal_cache: dict[Fraction, int] = {}
-        self._nulls: int | None = None  # the null family, built on first use
+        self._families_cache: dict[Fraction, tuple[int, int, int]] = {}
 
     # -- constructors --------------------------------------------------
 
@@ -469,12 +463,6 @@ class HistoriesTheory:
             raise ValueError("off-diagonal values need a decoherence or weights theory")
         return ComplexRational(*(Fraction(m.block_sum(x.mask, y.mask, part), m.denom) for part in (0, 1)))
 
-    def _additive(self) -> bool:
-        """Is mu additive and monotone (a pair form with no pairs and a real
-        nonnegative diagonal)?  Then queries over the supersets or the
-        subsets of an event reduce to the event itself."""
-        return isinstance(self.measure, PairMeasure) and self.measure.additive
-
     def _lattice(self, override_cap: bool = False) -> tuple[list[int], int]:
         """The measure of every event as ``(t, L)`` with mu(A) = t[A] / L over
         one common denominator L (stored for the table form; built once and
@@ -516,27 +504,27 @@ class HistoriesTheory:
 
     # -- null and negligible families ------------------------------------
 
-    def _null_family(self, eps: Fraction = ZERO, override_cap: bool = False) -> int:
-        """The family of (eps-)null events: of measure 0 (eps == 0) or below
-        eps (eps > 0); capped for the pair form."""
-        table, denom = self._lattice(override_cap)
-        if not eps:
-            if self._nulls is None:
-                self._nulls = lattice.family_of(not v for v in table)
-            return self._nulls
-        bound = eps.numerator * denom  # t / L < p / q  <=>  t * q < p * L
-        return lattice.family_of(v * eps.denominator < bound for v in table)
-
-    def _negligible_masks(self, eps: Fraction, override_cap: bool) -> int:
-        """The family of (eps-)negligible events: the downward closure of
-        the (eps-)null family."""
-        key = Fraction(eps)
-        fam = self._negligible_cache.get(key)
-        if fam is None:
-            _check_enum_cap(self.space.n, override_cap)
-            fam = lattice.down_closure(self._null_family(key, override_cap), self.space.n)
-            self._negligible_cache[key] = fam
-        return fam
+    def _families(self, eps: Fraction, override_cap: bool) -> tuple[int, int, int]:
+        """The families of (eps-)null events (of measure 0 at eps == 0,
+        below eps at eps > 0), of (eps-)negligible events (their down
+        closure) and of primitive duals (the minimal nonempty events outside
+        that closure), built once per parsed eps (capped)."""
+        families = self._families_cache.get(eps)
+        if families is None:
+            n = self.space.n
+            _check_enum_cap(n, override_cap)
+            table, denom = self._lattice(override_cap)
+            if eps:
+                bound = eps.numerator * denom  # t / L < p / q  <=>  t * q < p * L
+                nulls = lattice.family_of(v * eps.denominator < bound for v in table)
+            else:
+                nulls = lattice.family_of(not v for v in table)
+            negligible = lattice.down_closure(nulls, n)
+            # the empty event is never a dual, so it leaves before the
+            # minimal members are taken
+            outside = ((1 << (1 << n)) - 1) ^ (negligible | 1)
+            families = self._families_cache[eps] = nulls, negligible, lattice.minimal(outside, n)
+        return families
 
     def is_null(self, event: Event, eps: Fraction = ZERO) -> bool:
         """measure == 0 at eps == 0; measure < eps at eps > 0."""
@@ -553,27 +541,15 @@ class HistoriesTheory:
         """
         self._check_event(event)
         eps = _parse_eps(eps)
-        if self._additive():
+        if self.measure.additive:
             return self.is_null(event, eps)
-        fam = self._negligible_masks(eps, override_cap)
-        return bool(fam >> event.mask & 1)
+        return bool(self._families(eps, override_cap)[1] >> event.mask & 1)
 
     def minimal_nonnegligible(self, eps: Fraction = ZERO, override_cap: bool = False) -> tuple[int, ...]:
-        """Masks that are minimal under inclusion among non-(eps-)negligible
-        events, in ascending mask order.  These are the duals of the primitive
-        preclusive multiplicative co-events."""
-        return tuple(lattice.members(self._minimal_family(_parse_eps(eps), override_cap)))
-
-    def _minimal_family(self, eps: Fraction, override_cap: bool) -> int:
-        """The family of the minimal non-(eps-)negligible events."""
-        fam = self._negligible_masks(eps, override_cap)  # refuses above the cap
-        minimal = self._minimal_cache.get(eps)
-        if minimal is None:
-            n = self.space.n
-            everything = (1 << (1 << n)) - 1
-            # the empty event is never a dual
-            minimal = self._minimal_cache[eps] = lattice.minimal(everything ^ fam, n) & ~1
-        return minimal
+        """Masks that are minimal under inclusion among nonempty
+        non-(eps-)negligible events, in ascending mask order.  These are the
+        duals of the primitive preclusive multiplicative co-events."""
+        return tuple(lattice.members(self._families(_parse_eps(eps), override_cap)[2]))
 
     # -- interference hierarchy ------------------------------------------
 
@@ -582,7 +558,11 @@ class HistoriesTheory:
 
         Computed by inclusion-exclusion: the alternating sum over nonempty
         subfamilies of the measure of their disjoint union.  Order one is the
-        measure itself; order two measures the failure of additivity.
+        measure itself; order two measures the failure of additivity.  The
+        term is the sum of the measure's Moebius transform over the events
+        meeting every argument, each of at least k histories; a pair form
+        with real block sums has no transform above pairs, so its terms of
+        order three and up are zero without the 2**k sum.
         """
         k = len(events)
         if k < 1:
@@ -592,6 +572,8 @@ class HistoriesTheory:
         for a, b in combinations(events, 2):
             if not a.isdisjoint(b):
                 raise ValueError("interference arguments must be pairwise disjoint")
+        if k >= 3 and isinstance(self.measure, PairMeasure) and self.measure.real_blocks:
+            return ZERO
         total = ZERO
         for subset in range(1, 1 << k):
             mask = 0
@@ -648,7 +630,8 @@ class HistoriesTheory:
     # -- validation ---------------------------------------------------------
 
     def validate(self, strict_normalization: bool = True, override_cap: bool = False) -> ValidationReport:
-        """Check the measure axioms and populate the null family.
+        """Check the measure axioms and list the null events, by one scan
+        of the event lattice whenever it can be built (uncapped for tables).
 
         Table form: zero on the empty event, positivity everywhere, unit
         total.  Decoherence form: Hermiticity, positivity of every block sum,

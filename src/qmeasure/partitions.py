@@ -18,10 +18,10 @@ intersect are chained into classes; each class is merged into one "fat"
 dual, and histories not covered by any fat dual are appended as singleton
 blocks.
 
-Each question reads families of events held as one int (``lattice``): the
-null family and its down closure for separability and the minimal family
-of primitive duals for the other two, so each is a few big-int passes per
-block.
+Each question reads families of events held as one int (``lattice``),
+built once per eps by the theory: the null family and its down closure for
+separability and the minimal family of primitive duals for the other two,
+so each is a few big-int passes per block.
 """
 
 from __future__ import annotations
@@ -168,16 +168,15 @@ def is_preclusively_separable(theory: HistoriesTheory, partition: Partition,
     """
     if partition.space != theory.space:
         raise ValueError("partition over a different sample space")
-    if theory._additive():
+    if theory.measure.additive:
         return True
     n = theory.space.n
-    under_nulls = theory._negligible_masks(ZERO, override_cap)
-    nulls = theory._null_family(override_cap=override_cap)
+    nulls, negligible, _ = theory._families(ZERO, override_cap)
     for block in partition.blocks:
         # a nonempty trace lies under a null event inside the block exactly
         # when every nonempty subset of the block under a null event does
         inside = lattice.inside(block.mask)
-        if under_nulls & inside & ~lattice.down_closure(nulls & inside, n) & ~1:
+        if negligible & inside & ~lattice.down_closure(nulls & inside, n) & ~1:
             return False
     return True
 
@@ -185,7 +184,7 @@ def is_preclusively_separable(theory: HistoriesTheory, partition: Partition,
 def _uniform_weight(theory: HistoriesTheory) -> Fraction | None:
     """The common history weight if the measure is additive and monotone
     with one weight on every history, else None."""
-    if theory._additive():
+    if theory.measure.additive:
         weights = theory.measure.diag[0]
         if weights.count(weights[0]) == len(weights):
             return Fraction(weights[0], theory.measure.denom)
@@ -212,7 +211,7 @@ def is_classical_wrt_M(theory: HistoriesTheory, partition: Partition, eps=ZERO,
         # no duals at all (m > n) and singleton duals fit every partition;
         # otherwise some dual holds any two histories
         return m == 1 or m > theory.space.n or partition.size == 1
-    duals = theory._minimal_family(eps, override_cap)  # refuses above the cap first
+    duals = theory._families(eps, override_cap)[2]
     return not duals & ~reduce(or_, (lattice.inside(block.mask) for block in partition.blocks))
 
 
@@ -274,7 +273,7 @@ def principle_classical_partition(theory: HistoriesTheory, eps=ZERO,
         return _assemble(space, [sorted(
             sum(1 << i for i in subset) for subset in combinations(range(n), m)
         )])
-    duals = theory._minimal_family(eps, override_cap)
+    duals = theory._families(eps, override_cap)[2]
     holding = [duals & ~lattice._without(k, n) for k in range(n)]  # the duals holding k
     classes = []
     done = 0

@@ -224,7 +224,9 @@ def brute_negligible(table: list[Fraction], mask: int, eps: Fraction) -> bool:
 
 
 def brute_minimal_nonnegligible(theory: HistoriesTheory, eps: Fraction) -> tuple[int, ...]:
-    """Minimal sets with no (eps-)null superset, by direct double scan."""
+    """Minimal nonempty sets with no (eps-)null superset, by direct double
+    scan; the empty set is never a dual, so a deletion down to it always
+    counts."""
     n = theory.space.n
     table = theory.full_table()
     out = []
@@ -235,7 +237,7 @@ def brute_minimal_nonnegligible(theory: HistoriesTheory, eps: Fraction) -> tuple
         minimal = True
         while rest:
             bit = rest & -rest
-            if not brute_negligible(table, mask ^ bit, eps):
+            if mask ^ bit and not brute_negligible(table, mask ^ bit, eps):
                 minimal = False
                 break
             rest ^= bit

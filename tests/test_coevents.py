@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmeasure import coevents as cv
 from qmeasure import bernoulli as be
@@ -218,6 +221,81 @@ def test_primitivity_equals_undominated_preclusive():
             if not any(cv.dominates(psi, phi) for psi in preclusive)
         }
         assert undominated == {phi.dual_mask for phi in cv.primitives(theory)}
+
+
+def _space(n):
+    return SampleSpace(tuple(f"h{i}" for i in range(n)))
+
+
+# mu(0) = 1 and no event null: both singletons are primitive duals
+NO_NULLS = HistoriesTheory.from_table(_space(2), {0: 1, 1: Fraction(1, 3), 2: Fraction(2, 3), 3: 1})
+
+values = st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=1, max_denominator=9))
+thresholds = (Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1))
+
+
+@st.composite
+def tables(draw, max_n):
+    """Table theories of nonnegative values, mu(0) included."""
+    n = draw(st.integers(1, max_n))
+    table = draw(st.lists(values, min_size=1 << n, max_size=1 << n))
+    return HistoriesTheory.from_table(_space(n), dict(enumerate(table)))
+
+
+@st.composite
+def small_theories(draw):
+    """Table, decoherence and weights theories of up to six histories."""
+    kind = draw(st.sampled_from(["table", "decoherence", "weights"]))
+    if kind == "table":
+        return draw(tables(6))
+    n = draw(st.integers(1, 6))
+    if kind == "weights":
+        return HistoriesTheory.from_weights(_space(n), draw(st.lists(values, min_size=n, max_size=n)))
+    return random_decoherence_theory(random.Random(draw(st.integers(0, 2**32))), n)
+
+
+def test_primitives_when_no_event_is_null():
+    space = NO_NULLS.space
+    assert not any(NO_NULLS.is_negligible(s) for s in space.singletons())
+    assert [phi.dual_mask for phi in cv.primitives(NO_NULLS)] == [0b01, 0b10]
+
+
+def test_classify_reads_no_lattice_for_a_negligible_dual_of_weights():
+    # 4,096 histories: a null singleton is answered from its own measure
+    theory = HistoriesTheory.from_weights(_space(4096), [Fraction(1, 4096)] * 4096)
+    flags = cv.classify(cv.CoEvent(theory.space, dual_mask=1), theory, Fraction(1, 1000))
+    assert (flags.classical, flags.preclusive, flags.primitive) == (True, False, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(4), st.sampled_from(thresholds))
+@example(NO_NULLS, Fraction(0))
+def test_primitives_are_the_undominated_preclusive_duals(theory, eps):
+    space = theory.space
+    preclusive = [
+        phi for phi in (cv.CoEvent(space, dual_mask=m) for m in range(1, 1 << space.n))
+        if cv.is_preclusive(phi, theory, eps)
+    ]
+    undominated = [
+        phi.dual_mask for phi in preclusive
+        if not any(cv.dominates(psi, phi) for psi in preclusive)
+    ]
+    assert undominated == [phi.dual_mask for phi in cv.primitives(theory, eps)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_theories())
+@example(NO_NULLS)
+def test_families_move_monotonically_across_thresholds(theory):
+    """The negligible family only grows with eps, so each primitive dual at
+    a larger eps contains a primitive dual at a smaller one."""
+    events = [theory.space.event_from_mask(m) for m in range(1 << theory.space.n)]
+    negligible = {eps: {e.mask for e in events if theory.is_negligible(e, eps)} for eps in thresholds}
+    duals = {eps: theory.minimal_nonnegligible(eps) for eps in thresholds}
+    for low, high in combinations(thresholds, 2):
+        assert negligible[low] <= negligible[high]
+        for dual in duals[high]:
+            assert any(d & ~dual == 0 for d in duals[low])
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import random
+import signal
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeasure import bernoulli as be
@@ -348,6 +350,71 @@ def test_order_four_interference_matches_hand_expansion():
     events = [deco.space.event_from_mask(1 << i) for i in range(4)]
     assert deco.interference(*events) == 0
     assert deco.interference(*events[:3]) == 0
+
+
+@st.composite
+def matrices_and_disjoint_events(draw):
+    """A decoherence matrix and k pairwise-disjoint event masks, some
+    possibly empty, for k from one to the number of histories."""
+    matrix = draw(decoherence_matrices())
+    n = len(matrix)
+    k = draw(st.integers(1, n))
+    owner = draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))
+    return matrix, [sum(1 << i for i in range(n) if owner[i] == j) for j in range(k)]
+
+
+_c = ComplexRational.of
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices_and_disjoint_events())
+@example(([[_c(1, 0), _c(2, 1), _c(Fraction(1, 3), -2)],  # asymmetric real parts, real block sums
+           [_c(-1, -1), _c(2, 0), _c(0, 5)],
+           [_c(Fraction(1, 6), 2), _c(1, -5), _c(3, 0)]], [1, 2, 4]))
+def test_pair_form_interference_matches_the_block_sum_reference(case):
+    """Interference of disjoint events against the alternating sum of the
+    reference block sums and the literal forms up to order three; where the
+    block sum of some union is not real, the query raises."""
+    matrix, masks = case
+    n, k = len(matrix), len(masks)
+    space = SampleSpace(tuple(f"h{i}" for i in range(n)))
+    theory = HistoriesTheory.from_decoherence(space, matrix)
+    events = [space.event_from_mask(m) for m in masks]
+    sums = {}
+    for subset in range(1, 1 << k):
+        union = sum(m for j, m in enumerate(masks) if subset >> j & 1)
+        sums[subset] = block_sum_reference(matrix, union, union)
+    if any(acc.imag for acc in sums.values()):
+        with pytest.raises(ValueError):
+            theory.interference(*events)
+        return
+    want = sum(((-1) ** (k - subset.bit_count()) * acc.real for subset, acc in sums.items()), Fraction(0))
+    assert theory.interference(*events) == want
+    if k <= 3:
+        assert want == literal_interference(theory, *events)
+    real_blocks = all(matrix[i][j].imag == -matrix[j][i].imag for i in range(n) for j in range(n))
+    if k >= 3 and real_blocks:
+        assert want == 0
+
+
+def test_interference_of_thirty_singletons_on_a_pair_form_takes_no_2_to_the_k_sum():
+    theory = random_decoherence_theory(random.Random(30), 30)
+
+    def interrupt(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(5)  # a 2**30 sum would not return for hours
+    start = time.perf_counter()
+    try:
+        value = theory.interference(*theory.space.singletons())
+    except TimeoutError:
+        value = None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert value == 0, "order-30 interference ran the 2**30 sum"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_interference_rejects_overlap():

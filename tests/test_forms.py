@@ -3,6 +3,7 @@ diagonal decoherence theory answer every query they share alike, and each
 shortcut taken for an additive monotone measure gives the lattice's answer
 on the same theory."""
 
+import copy
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -44,9 +45,9 @@ def _forms(weights):
 
 def _lattice_only(theory: HistoriesTheory) -> HistoriesTheory:
     """The same measure with the additive shortcuts switched off."""
-    twin = HistoriesTheory(theory.space, theory.measure)
-    twin._additive = lambda: False
-    return twin
+    measure = copy.copy(theory.measure)
+    measure.additive = False
+    return HistoriesTheory(theory.space, measure)
 
 
 def _answers(theory: HistoriesTheory, partition_masks) -> dict:

@@ -180,6 +180,7 @@ def test_weights_form_against_oracles(raw, scale, eps):
     st.fractions(min_value=0, max_value=3, max_denominator=6),
     min_size=1 << n, max_size=1 << n)), eps_values)
 @example([Fraction(1), Fraction(0), Fraction(0), Fraction(0)], Fraction(0))  # mu(0) = 1: level 1
+@example([Fraction(1), Fraction(1)], Fraction(0))  # no event null: the singleton is a dual
 def test_table_form_against_oracles(values, eps):
     n = len(values).bit_length() - 1
     theory = HistoriesTheory.from_table(_space(n), dict(enumerate(values)))
