@@ -279,27 +279,20 @@ def _cmd_feasibility(args) -> int:
     with _exact_output():
         system = dy.build_feasibility(theory, candidates, override_cap=args.override_cap)
         if args.action == "build":
-            # the text streams: only the JSON payload draws every row at once
-            rows = ((format_mask(mask), *system.row(mask)) for mask in system.rows)
-            lines = (f"{e}: [{''.join(map(str, c))}] = {format_rational(b)}" for e, c, b in rows)
-            payload = {
-                "coevents": [cv.coevent_to_json(phi) for phi in system.coevents],
-                "rows": [{"event": e, "coefficients": list(c), "rhs": format_rational(b)}
-                         for e, c, b in rows],
-            } if args.format == "json" else None
+            # the normalised columns and the row count; the rows are the
+            # events, each read from the theory
+            rows = len(system.rows)
+            duals = [phi.dual_event() for phi in system.coevents]
+            lines = [f"{d.hex_mask} {d.label()}" for d in duals] + [f"rows = {rows}"]
+            payload = {"coevents": [cv.coevent_to_json(phi) for phi in system.coevents], "rows": rows}
             _emit(args, lines, payload)
             return 0
         if args.action == "solve":
             result = dy.solve_feasibility(system)
             payload = dy.feasibility_result_to_json(system, result)
-            lines = [payload["status"]]
-            if result.feasible:
-                lines += [
-                    f"  p[{mask}] = {value}"
-                    for mask, value in sorted(payload["assignment"].items())
-                ]
-            else:
-                lines.append(f"  certificate: {payload['certificate']}")
+            name, values = (("p", payload["assignment"]) if result.feasible
+                            else ("farkas", payload["certificate"]["farkas"]))
+            lines = [payload["status"]] + [f"  {name}[{mask}] = {v}" for mask, v in sorted(values.items())]
             _emit(args, lines, payload)
             return 0
         if not args.phi:

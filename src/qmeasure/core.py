@@ -370,7 +370,7 @@ class HistoriesTheory:
         self.space = space
         self.measure = measure
         self._ints = measure.ints if isinstance(measure, TableMeasure) else None
-        self._families_cache: dict[Fraction, tuple[int, int, int]] = {}
+        self._families_slot: tuple = (None, None)  # (eps, families) of the last eps
 
     # -- constructors --------------------------------------------------
 
@@ -466,33 +466,39 @@ class HistoriesTheory:
     def _lattice(self, override_cap: bool = False) -> tuple[list[int], int]:
         """The measure of every event as ``(t, L)`` with mu(A) = t[A] / L over
         one common denominator L (stored for the table form; built once and
-        capped for the pair form)."""
+        capped for the pair form, as the zeta transform of ``_moebius``)."""
         if self._ints is None:
-            _check_enum_cap(self.space.n, override_cap)
-            coeffs, denom = self._sparse_moebius()
-            self._ints = (lattice.zeta(coeffs, self.space.n), denom)
+            n = self.space.n
+            _check_enum_cap(n, override_cap)
+            coeffs, denom = self._moebius()
+            self._ints = (lattice.zeta(lattice.dense(coeffs, n), n), denom)
         return self._ints
 
-    def _sparse_moebius(self) -> tuple[list[int], int]:
-        """The Moebius transform of a pair-form measure, read off the data:
-        D_ii on {i} and Re(D_ij + D_ji) on {i, j}; zero on larger events.
-        Over the common denominator, as ``(m, L)``."""
-        n = self.space.n
+    def _moebius(self) -> tuple[dict[int, int], int]:
+        """The nonzero coefficients of the Moebius transform of the measure,
+        over the common denominator, as ``({mask: m}, L)``.  A table takes
+        one ``lattice.moebius`` pass of its stored ints; a pair form reads
+        them off its data at any n: D_ii on {i} and Re(D_ij + D_ji) on {i, j}.
+        """
         m = self.measure
+        if isinstance(m, TableMeasure):
+            table, denom = m.ints
+            coeffs = lattice.moebius(list(table), self.space.n)
+            return {mask: v for mask, v in enumerate(coeffs) if v}, denom
 
-        def transform(part: int) -> list[int]:
-            out = [0] * (1 << n)
-            for i, v in enumerate(m.diag[part]):
-                out[1 << i] = v
+        def transform(part: int) -> dict[int, int]:
+            out = {1 << i: v for i, v in enumerate(m.diag[part]) if v}
             for i, row in m.pairs[part].items():  # D_ij and D_ji land on {i, j}
                 for j, v in row.items():
-                    out[1 << i | 1 << j] += v
-            return out
+                    mask = 1 << i | 1 << j
+                    out[mask] = out.get(mask, 0) + v
+            return {mask: v for mask, v in out.items() if v}
 
         if not m.real_blocks:
-            bad = next(mask for mask, v in enumerate(lattice.zeta(transform(1), n)) if v)
+            # every event below the lowest imaginary coefficient has a real
+            # measure, and that event's measure is the coefficient
             raise ValueError(
-                f"measure of event {hex(bad)} is not real; "
+                f"measure of event {hex(min(transform(1)))} is not real; "
                 "the decoherence matrix is not Hermitian (run validate)"
             )
         return transform(0), m.denom
@@ -508,9 +514,11 @@ class HistoriesTheory:
         """The families of (eps-)null events (of measure 0 at eps == 0,
         below eps at eps > 0), of (eps-)negligible events (their down
         closure) and of primitive duals (the minimal nonempty events outside
-        that closure), built once per parsed eps (capped)."""
-        families = self._families_cache.get(eps)
-        if families is None:
+        that closure), built once per parsed eps (capped).  Only the last
+        eps is kept: each family of a lattice over n histories is a 2**n-bit
+        int, and callers ask for one eps at a time."""
+        kept, families = self._families_slot
+        if kept != eps:
             n = self.space.n
             _check_enum_cap(n, override_cap)
             table, denom = self._lattice(override_cap)
@@ -523,7 +531,8 @@ class HistoriesTheory:
             # the empty event is never a dual, so it leaves before the
             # minimal members are taken
             outside = ((1 << (1 << n)) - 1) ^ (negligible | 1)
-            families = self._families_cache[eps] = nulls, negligible, lattice.minimal(outside, n)
+            families = nulls, negligible, lattice.minimal(outside, n)
+            self._families_slot = eps, families
         return families
 
     def is_null(self, event: Event, eps: Fraction = ZERO) -> bool:
@@ -591,19 +600,20 @@ class HistoriesTheory:
         singletons of S is the alternating subset sum of the measure over S,
         and every higher-order term on disjoint tuples is a signed sum of
         such singleton terms.  The level is therefore the largest |S| whose
-        transform is nonzero (at least one).  Interference terms read
-        nonempty events only, so mu(0) is taken as zero even where a table
-        breaks the empty-set axiom.
+        transform is nonzero (at least one).  A pair form reads its
+        coefficients off its data, with no lattice and no cap.  Interference
+        terms read nonempty events only, so a table's mu(0) is taken as zero
+        even where it breaks the empty-set axiom.
         """
-        n = self.space.n
-        _check_enum_cap(n, override_cap)
         if isinstance(self.measure, TableMeasure):
-            values = list(self._lattice()[0])
+            n = self.space.n
+            _check_enum_cap(n, override_cap)
+            values = list(self._ints[0])
             values[0] = 0
-            transform = lattice.moebius(values, n)
+            support = (mask for mask, v in enumerate(lattice.moebius(values, n)) if v)
         else:
-            transform, _ = self._sparse_moebius()
-        return max([1] + [mask.bit_count() for mask, v in enumerate(transform) if v])
+            support = self._moebius()[0]
+        return max(map(int.bit_count, support), default=1)
 
     # -- coarse graining ---------------------------------------------------
 
@@ -618,14 +628,12 @@ class HistoriesTheory:
             raise SizeCapError(f"coarse graining to {k} blocks exceeds cap {STORAGE_CAP}")
         labels = tuple(block.label() for block in blocks)
         new_space = SampleSpace(labels)
-        values: dict[int, Fraction] = {}
-        for mask in range(1 << k):
-            fine = 0
-            for i in range(k):
-                if mask >> i & 1:
-                    fine |= blocks[i].mask
-            values[mask] = self.mu_mask(fine)
-        return HistoriesTheory(new_space, TableMeasure(k, values))
+        # the fine event of coarse mask A, in mask order: each block doubles
+        # the list with its history added
+        unions = [0]
+        for block in blocks:
+            unions += [u | block.mask for u in unions]
+        return HistoriesTheory(new_space, TableMeasure(k, dict(enumerate(map(self.mu_mask, unions)))))
 
     # -- validation ---------------------------------------------------------
 

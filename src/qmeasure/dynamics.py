@@ -23,12 +23,17 @@ The rows are the whole event algebra, so they are the zeta transform of the
 assignment (extended by zero off S) and the system has at most one solution:
 the Moebius transform m of the measure.  It is feasible exactly when m
 vanishes off S and is nonnegative on S, that is, when mu is a Dempster-Shafer
-belief function whose focal elements are duals of S (Shafer, 1976), and the
-signed Moebius row of the first event breaking that is a Farkas certificate.
-No row is stored: with mu as integers t over one denominator L, each check is
-one ``lattice.zeta`` pass, of the duals' 0/1 indicator (contradictory rows),
-of L times the assignment on the duals (it must give t), and of the reversed
-Farkas multipliers (read reversed, the column sums over supersets).
+belief function whose focal elements are duals of S (Shafer, 1976).  A system
+is therefore the theory and its columns; no row is stored, and m comes from
+``HistoriesTheory._moebius``, read off a pair form's data with no transform.
+The one kind of certificate is a Farkas vector spelled over its support,
+``{event mask: multiplier}``: the single event {A: sign mu(A)} when the
+lowest event of m's support contains no column, else the signed Moebius row
+of the first event breaking m.  With mu as integers t over one denominator L,
+each check is one ``lattice.zeta`` pass: of the duals' 0/1 indicator (the
+events containing a column), of L times the assignment on the duals (it must
+give t), and of the reversed Farkas multipliers (read reversed, the column
+sums over supersets).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from . import lattice
 from .core import Event, HistoriesTheory, _check_enum_cap, format_mask, format_rational
 from .coevents import CoEvent
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -130,8 +134,8 @@ def is_quadratic(phi: CoEvent, override_cap: bool = False) -> QuadraticReport:
 
 @dataclass(frozen=True)
 class FeasibilitySystem:
-    """One row per event, in ascending mask order and none stored: the
-    nonnegative probabilities of the co-events affirming it sum to its measure."""
+    """One row per event of the theory, none stored: the nonnegative
+    probabilities of the co-events affirming it sum to its measure."""
 
     theory: HistoriesTheory
     coevents: tuple[CoEvent, ...]  # multiplicative and distinct, in ascending dual order
@@ -152,20 +156,13 @@ class FeasibilitySystem:
         """The row event masks: every event, ascending."""
         return range(1 << self.theory.space.n)
 
-    def row(self, mask: int) -> tuple[tuple[int, ...], Fraction]:
-        """An event's row: 1 for each co-event affirming it, and its measure."""
-        if mask not in self.rows:
-            raise ValueError(f"no row for event mask {mask!r}")
-        coeffs = tuple(1 if phi.dual_mask & ~mask == 0 else 0 for phi in self.coevents)
-        return coeffs, self.theory.mu_mask(mask)
-
 
 def build_feasibility(theory: HistoriesTheory, coevents, *,
                       override_cap: bool = False) -> FeasibilitySystem:
     """Build the constraint system for a set of multiplicative co-events.
 
-    One row per event of the full algebra, in ascending mask order; the
-    full-space row forces the probabilities to sum to one.
+    One row per event of the full algebra, 2**n in all; the full-space row
+    forces the probabilities to sum to one.
     """
     system = FeasibilitySystem(theory, tuple(coevents))
     _check_enum_cap(theory.space.n, override_cap)
@@ -177,16 +174,7 @@ def build_feasibility(theory: HistoriesTheory, coevents, *,
 class FeasibilityResult:
     feasible: bool
     assignment: tuple[Fraction, ...] | None
-    inconsistent_row: int | None  # index into system.rows
-    farkas: tuple[Fraction, ...] | None  # row multipliers certifying infeasibility
-
-
-def _on_duals(system: FeasibilitySystem, values) -> list[int]:
-    """A function on the events: ``values`` on the duals, zero elsewhere."""
-    out = [0] * len(system.rows)
-    for phi, v in zip(system.coevents, values):
-        out[phi.dual_mask] = v
-    return out
+    farkas: dict[int, Fraction] | None  # nonzero row multipliers by event mask
 
 
 def _verify_assignment(system: FeasibilitySystem, x) -> None:
@@ -195,53 +183,57 @@ def _verify_assignment(system: FeasibilitySystem, x) -> None:
     assert all(denom % xi.denominator == 0 for xi in x), "assignment violates an equality row"
     scaled = [xi.numerator * (denom // xi.denominator) for xi in x]
     n = system.theory.space.n
-    assert lattice.zeta(_on_duals(system, scaled), n) == t, "assignment violates an equality row"
+    on_duals = lattice.dense({phi.dual_mask: v for phi, v in zip(system.coevents, scaled)}, n)
+    assert lattice.zeta(on_duals, n) == t, "assignment violates an equality row"
     assert min(scaled) >= 0, "assignment violates nonnegativity"
 
 
-def _verify_farkas(system: FeasibilitySystem, y) -> None:
+def _verify_farkas(system: FeasibilitySystem, y: dict[int, Fraction]) -> None:
     t, _ = system.theory._lattice()
-    scaled, _ = lattice.over_common_denominator([v.as_integer_ratio() for v in y])
+    n = system.theory.space.n
+    scaled, _ = lattice.over_common_denominator([v.as_integer_ratio() for v in y.values()])
+    multipliers = dict(zip(y, scaled))
     # column d sums y over the supersets of d; A -> Omega - A reverses the order
-    columns = lattice.zeta(scaled[::-1], system.theory.space.n)[::-1]
+    columns = lattice.zeta(lattice.dense(multipliers, n)[::-1], n)[::-1]
     assert all(columns[phi.dual_mask] <= 0 for phi in system.coevents), \
         "certificate fails on a column"
-    assert sum(yi * ti for yi, ti in zip(scaled, t)) > 0, "certificate fails on the right-hand side"
+    assert sum(v * t[a] for a, v in multipliers.items()) > 0, \
+        "certificate fails on the right-hand side"
 
 
 def solve_feasibility(system: FeasibilitySystem) -> FeasibilityResult:
     """Decide whether a probability assignment exists.
 
-    Returns an exact witness assignment, or an infeasibility certificate:
-    either a single contradictory row (no co-event affirms the event but its
-    measure is nonzero) or exact Farkas multipliers over the rows.
+    Returns an exact witness assignment, or exact Farkas multipliers
+    ``{event mask: y}`` over the rows, nonzero entries only.
 
     Row A reads sum(x_d for d contained in A) = mu(A), so the unique
-    candidate is x_d = m(d) with m the Moebius transform of mu.  If m breaks
-    at B (m(B) != 0 off the columns, or m(B) < 0 on one), then
-    y_A = sign(m(B)) * (-1)**|B - A| for A contained in B has column sums
-    -1 at a column B with m(B) < 0 and 0 at every other column, and
-    y.mu = |m(B)| > 0.
+    candidate is x_d = m(d) with m the Moebius transform of mu.  If the
+    lowest event A of m's support contains no column, no event below it
+    does either, so mu(A) = m(A) != 0 and {A: sign mu(A)} is a certificate:
+    every column sum is 0.  Otherwise, if m breaks at B (m(B) != 0 off the
+    columns, or m(B) < 0 on one), then y_A = sign(m(B)) * (-1)**|B - A| for
+    A contained in B has column sums -1 at a column B with m(B) < 0 and 0 at
+    every other column, and y.mu = |m(B)| > 0.
     """
     n = system.theory.space.n
-    t, denom = system.theory._lattice()
-    inside = lattice.zeta(_on_duals(system, [1] * len(system.coevents)), n)
-    uncovered = next((a for a, v in enumerate(t) if v and not inside[a]), None)
+    m, denom = system.theory._moebius()
+    columns = {phi.dual_mask: 1 for phi in system.coevents}
+    covered = lattice.zeta(lattice.dense(columns, n), n)
+    support = sorted(m)
+    uncovered = next((a for a in support if not covered[a]), None)
     if uncovered is not None:
-        return FeasibilityResult(False, None, uncovered, None)
-    m = lattice.moebius(list(t), n)
-    columns = {phi.dual_mask for phi in system.coevents}
-    bad = next((b for b, v in enumerate(m) if v < 0 or (v and b not in columns)), None)
-    if bad is None:
-        x = tuple(Fraction(m[phi.dual_mask], denom) for phi in system.coevents)
-        _verify_assignment(system, x)
-        return FeasibilityResult(True, x, None, None)
-    sign = ONE if m[bad] > 0 else -ONE
-    y = [ZERO] * len(m)
-    for a in lattice.submasks(bad):
-        y[a] = -sign if (bad ^ a).bit_count() % 2 else sign
+        y = {uncovered: ONE if m[uncovered] > 0 else -ONE}
+    else:
+        bad = next((b for b in support if m[b] < 0 or b not in columns), None)
+        if bad is None:
+            x = tuple(Fraction(m.get(d, 0), denom) for d in columns)
+            _verify_assignment(system, x)
+            return FeasibilityResult(True, x, None)
+        sign = ONE if m[bad] > 0 else -ONE
+        y = {a: -sign if (bad ^ a).bit_count() % 2 else sign for a in lattice.submasks(bad)}
     _verify_farkas(system, y)
-    return FeasibilityResult(False, None, None, tuple(y))
+    return FeasibilityResult(False, None, y)
 
 
 def max_probability(system: FeasibilitySystem, phi: CoEvent) -> Fraction:
@@ -275,14 +267,7 @@ def feasibility_result_to_json(system: FeasibilitySystem, result: FeasibilityRes
                 for phi, x in zip(system.coevents, result.assignment)
             },
         }
-    doc: dict = {"status": "infeasible"}
-    if result.inconsistent_row is not None:
-        doc["certificate"] = {
-            "row": result.inconsistent_row,
-            "event": format_mask(system.rows[result.inconsistent_row]),
-        }
-    else:
-        doc["certificate"] = {
-            "farkas": [format_rational(v) for v in result.farkas],
-        }
-    return doc
+    return {
+        "status": "infeasible",
+        "certificate": {"farkas": {format_mask(a): format_rational(v) for a, v in result.farkas.items()}},
+    }

@@ -67,6 +67,15 @@ def moebius(values: list[int], n: int) -> list[int]:
     return _passes(values, n, sub)
 
 
+def dense(values: dict[int, int], n: int) -> list[int]:
+    """The function on the events over n histories that is ``values`` at
+    their masks and zero elsewhere."""
+    out = [0] * (1 << n)
+    for mask, v in values.items():
+        out[mask] = v
+    return out
+
+
 def _without(i: int, n: int) -> int:
     """The family of events that do not contain history ``i``."""
     step = 1 << i

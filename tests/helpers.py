@@ -106,26 +106,31 @@ def dense_verify_assignment(rows, x) -> None:
     assert all(xi >= 0 for xi in x), "assignment violates nonnegativity"
 
 
-def dense_verify_farkas(rows, y) -> None:
+def dense_verify_farkas(rows, y: dict) -> None:
+    """Check multipliers ``{event mask: y}`` against the stored rows, each
+    row at the index of its event mask."""
     k = len(rows[0].coefficients)
     for j in range(k):
         col = sum(
-            (yi for yi, row in zip(y, rows) if row.coefficients[j]), ZERO
+            (yi for a, yi in y.items() if rows[a].coefficients[j]), ZERO
         )
         assert col <= 0, "certificate fails on a column"
-    rhs = sum((yi * row.rhs for yi, row in zip(y, rows)), ZERO)
+    rhs = sum((yi * rows[a].rhs for a, yi in y.items()), ZERO)
     assert rhs > 0, "certificate fails on the right-hand side"
 
 
 def dense_solve(rows, duals) -> FeasibilityResult:
     """The closed-form verdict over stored rows: the first row with no
-    co-event and a nonzero measure, else the Moebius transform of the
-    right-hand sides by direct signed sums, read at the duals, else the
-    signed Moebius row of the first event where it is negative or lies off
-    the duals.  Witnesses are checked against the rows."""
-    for idx, row in enumerate(rows):
+    co-event and a nonzero measure, certified by that row alone with the
+    sign of its measure; else the Moebius transform of the right-hand sides
+    by direct signed sums, read at the duals; else the signed Moebius row
+    of the first event where it is negative or lies off the duals.
+    Witnesses are checked against the rows."""
+    for row in rows:
         if not any(row.coefficients) and row.rhs != 0:
-            return FeasibilityResult(False, None, idx, None)
+            y = {row.event_mask: ONE if row.rhs > 0 else -ONE}
+            dense_verify_farkas(rows, y)
+            return FeasibilityResult(False, None, y)
     m = [
         sum(((-1) ** (b ^ a).bit_count() * rows[a].rhs for a in submasks(b)), ZERO)
         for b in range(len(rows))
@@ -134,12 +139,10 @@ def dense_solve(rows, duals) -> FeasibilityResult:
     if bad is None:
         x = tuple(m[d] for d in duals)
         dense_verify_assignment(rows, x)
-        return FeasibilityResult(True, x, None, None)
-    y = [ZERO] * len(rows)
-    for a in submasks(bad):
-        y[a] = (-1) ** (bad ^ a).bit_count() * (ONE if m[bad] > 0 else -ONE)
+        return FeasibilityResult(True, x, None)
+    y = {a: (-1) ** (bad ^ a).bit_count() * (ONE if m[bad] > 0 else -ONE) for a in submasks(bad)}
     dense_verify_farkas(rows, y)
-    return FeasibilityResult(False, None, None, tuple(y))
+    return FeasibilityResult(False, None, y)
 
 
 def per_entry_table_load(n: int, raw: dict) -> tuple[list[int], int]:

@@ -219,12 +219,37 @@ def test_feasibility_solve_and_max(capsys, coin_file):
 def test_feasibility_build(capsys, coin_file):
     code, out, _ = run(
         capsys, "feasibility", "build", "--theory", coin_file,
-        "--duals", "0x1,0x2", "--format", "json",
+        "--duals", "0x2,0x1", "--format", "json",
     )
     assert code == 0
-    doc = json.loads(out)
-    assert doc["coevents"] == [{"dual": "0x1"}, {"dual": "0x2"}]
-    assert doc["rows"][3] == {"event": "0x3", "coefficients": [1, 1], "rhs": "1"}
+    assert json.loads(out) == {"coevents": [{"dual": "0x1"}, {"dual": "0x2"}], "rows": 4}
+    code, out, _ = run(capsys, "feasibility", "build", "--theory", coin_file, "--duals", "0x3,0x1")
+    assert (code, out) == (0, "0x1 {h}\n0x3 {h,t}\nrows = 4\n")
+
+
+def test_feasibility_certificate_is_spelled_over_its_support(capsys, three_path_file, tmp_path):
+    # no dual inside {b}, whose measure is 1: that row alone certifies
+    code, out, _ = run(capsys, "feasibility", "solve", "--theory", three_path_file, "--duals", "0x1,0x4")
+    assert (code, out) == (0, "infeasible\n  farkas[0x2] = 1\n")
+    # every dual of a 12-history table whose Moebius transform is -1 on
+    # {h0, h1}: the signed Moebius row of four entries, and one line per
+    # column from build
+    n = 12
+    m = [0] * (1 << n)
+    m[1], m[2], m[3], m[4] = 1, 1, -1, 1
+    values = {hex(a): str(sum(m[b] for b in (1, 2, 3, 4) if b & a == b)) for a in range(1 << n)}
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps({"histories": [f"h{i}" for i in range(n)],
+                                "measure": {"type": "table", "values": values}}))
+    duals = ",".join(hex(d) for d in range(1, 1 << n))
+    code, out, _ = run(capsys, "feasibility", "solve", "--theory", str(path), "--duals", duals,
+                       "--format", "json")
+    assert code == 0 and len(out) < 200
+    assert json.loads(out) == {"status": "infeasible",
+                               "certificate": {"farkas": {"0x0": "-1", "0x1": "1", "0x2": "1", "0x3": "-1"}}}
+    code, out, _ = run(capsys, "feasibility", "build", "--theory", str(path), "--duals", duals)
+    lines = out.splitlines()
+    assert (code, len(lines), lines[-1]) == (0, (1 << n), f"rows = {1 << n}")
 
 
 def test_hypothesis_with_sequence(capsys):
@@ -358,7 +383,8 @@ def test_one_parser_serves_every_call(capsys, monkeypatch, three_path_file):
 
 def test_theory_outputs_print_beyond_the_int_string_limit(capsys, tmp_path):
     # every input is under the limit, but the measure of both histories,
-    # the total in validate's report and the row of 0x3 need about 8,000 digits
+    # also the total in validate's report, needs about 8,000 digits, and so
+    # does the common denominator the feasibility checks run over
     big = 10**4000
     first, second = Fraction(1, big + 1), Fraction(1, big + 3)
     matrix = [[[f"1/{big + 1}", "0"], ["0", "0"]], [["0", "0"], [f"1/{big + 3}", "0"]]]
@@ -373,6 +399,7 @@ def test_theory_outputs_print_beyond_the_int_string_limit(capsys, tmp_path):
         ("primitives",): 0,
         ("partition", "--principle"): 0,
         ("feasibility", "build", "--duals", "0x1,0x2"): 0,
+        ("feasibility", "solve", "--duals", "0x1,0x2"): 0,
     }
     outputs = {}
     for argv, expected_code in calls.items():
@@ -386,10 +413,11 @@ def test_theory_outputs_print_beyond_the_int_string_limit(capsys, tmp_path):
         total = first + second
         assert outputs["measure", "--mu", "0x3"] == f"mu 0x3 {{a,b}} = {total}\n"
         assert f"D(Omega,Omega) = ({total}+0i), expected 1\n" in outputs["validate",]
-        assert outputs["feasibility", "build", "--duals", "0x1,0x2"].endswith(f"0x3: [11] = {total}\n")
     finally:
         sys.set_int_max_str_digits(limit)
     assert outputs["primitives",] == "0x1 {a}\n0x2 {b}\n"
+    assert outputs["feasibility", "build", "--duals", "0x1,0x2"] == "0x1 {a}\n0x2 {b}\nrows = 4\n"
+    assert outputs["feasibility", "solve", "--duals", "0x1,0x2"] == f"feasible\n  p[0x1] = {first}\n  p[0x2] = {second}\n"
 
     # an input past the limit is still refused
     path.write_text(json.dumps({"histories": ["a"],

@@ -3,7 +3,9 @@ import json
 import math
 import random
 import signal
+import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -474,12 +476,33 @@ def test_level_one_is_exactly_additivity():
 
 
 def test_level_cap():
-    space = SampleSpace(tuple(f"g{i}" for i in range(ENUM_CAP + 1)))
-    theory = HistoriesTheory.from_weights(
-        space, [Fraction(1, ENUM_CAP + 1)] * (ENUM_CAP + 1)
-    )
+    # a table's level is one Moebius pass of its 2**n values: capped
+    n = ENUM_CAP + 1
+    space = SampleSpace(tuple(f"g{i}" for i in range(n)))
+    theory = HistoriesTheory.from_table(space, {m: m & 1 for m in range(1 << n)})
     with pytest.raises(SizeCapError):
         theory.level()
+
+
+def test_pair_form_level_reads_no_lattice():
+    deco = random_decoherence_theory(random.Random(30), 30)
+    n = 4096
+    weights = HistoriesTheory.from_weights(SampleSpace(tuple(f"h{i}" for i in range(n))),
+                                           [Fraction(1, n)] * n)
+
+    def interrupt(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(5)  # a lattice of 2**30 events would not return for hours
+    try:
+        levels = deco.level(), weights.level()
+    except TimeoutError:
+        levels = None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert levels == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +617,22 @@ def test_negligible_family_is_downward_closure_of_nulls():
             for mask in range(1 << space.n):
                 event = space.event_from_mask(mask)
                 assert theory.is_negligible(event, eps) == brute_negligible(table, mask, eps)
+
+
+def test_a_threshold_sweep_holds_one_family_triple():
+    theory = random_decoherence_theory(random.Random(14), 14)
+    theory.full_table()  # the lattice itself stays, whatever the sweep does
+    sweep = [Fraction(k, 200) for k in range(8)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for eps in sweep:
+            theory.minimal_nonnegligible(eps)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    one = sum(map(sys.getsizeof, theory._families(sweep[-1], False)))
+    assert one < held < 2 * one
 
 
 def test_three_path_negligible_structure():

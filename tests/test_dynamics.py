@@ -8,7 +8,7 @@ from qmeasure import dynamics as dy
 from qmeasure.checks import coin_theory, three_path_theory
 from qmeasure.core import HistoriesTheory, SampleSpace
 
-from helpers import quadratic_scan, submasks
+from helpers import dense_rows, dense_verify_farkas, quadratic_scan, submasks
 
 ZERO = Fraction(0)
 
@@ -134,16 +134,13 @@ def test_is_quadratic_reports():
 def test_build_feasibility_coin_rows():
     theory = coin_theory(Fraction(1, 3))
     space = theory.space
-    candidates = [cv.dual(space.event("h")), cv.dual(space.event("t"))]
+    candidates = [cv.dual(space.event("t")), cv.dual(space.event("h"))]
     system = dy.build_feasibility(theory, candidates)
     assert [phi.dual_mask for phi in system.coevents] == [0b01, 0b10]
     assert system.rows == range(4)
-    assert system.row(0b00) == ((0, 0), Fraction(0))
-    assert system.row(0b01) == ((1, 0), Fraction(1, 3))
-    assert system.row(0b10) == ((0, 1), Fraction(2, 3))
-    assert system.row(0b11) == ((1, 1), Fraction(1))
-    with pytest.raises(ValueError):
-        system.row(0b100)
+    rows = dense_rows(theory, system.coevents)
+    assert [(row.coefficients, row.rhs) for row in rows] == [
+        ((0, 0), 0), ((1, 0), Fraction(1, 3)), ((0, 1), Fraction(2, 3)), ((1, 1), 1)]
 
 
 def test_full_space_row_forces_total_probability_one():
@@ -153,7 +150,12 @@ def test_full_space_row_forces_total_probability_one():
         theory,
         [cv.dual(space.event("h")), cv.dual(space.event("t")), cv.dual(space.omega)],
     )
-    assert system.row(0b11) == ((1, 1, 1), 1)
+    full = dense_rows(theory, system.coevents)[0b11]
+    assert (full.coefficients, full.rhs) == ((1, 1, 1), 1)
+    # without the full space as a column, a total of 2 breaks only that row
+    over = HistoriesTheory.from_table(space, {0: 0, 1: Fraction(1, 3), 2: Fraction(2, 3), 3: 2})
+    result = dy.solve_feasibility(dy.build_feasibility(over, system.coevents[:2]))
+    assert result.farkas == {0b00: 1, 0b01: -1, 0b10: -1, 0b11: 1}
 
 
 def test_build_feasibility_rejects_bad_candidate_sets():
@@ -198,9 +200,11 @@ def test_three_path_single_candidate_contradiction():
     system = dy.build_feasibility(theory, [cv.dual(space.event("a", "c"))])
     result = dy.solve_feasibility(system)
     assert not result.feasible
-    coefficients, rhs = system.row(system.rows[result.inconsistent_row])
-    assert coefficients == (0,)
-    assert rhs != 0
+    # the first event with a nonzero measure and no column: {a} alone
+    assert result.farkas == {0b001: 1}
+    row = dense_rows(theory, system.coevents)[0b001]
+    assert row.coefficients == (0,)
+    assert row.rhs != 0
 
 
 def test_infeasible_without_contradictory_row_yields_farkas():
@@ -213,14 +217,9 @@ def test_infeasible_without_contradictory_row_yields_farkas():
     )
     result = dy.solve_feasibility(system)
     assert not result.feasible
-    assert result.inconsistent_row is None
-    assert result.farkas is not None
+    assert result.farkas == {0b00: 1, 0b01: -1, 0b10: -1, 0b11: 1}
     # re-verify the certificate externally
-    rows = [system.row(mask) for mask in system.rows]
-    for j in range(len(system.coevents)):
-        column = sum(y for y, (coeffs, _) in zip(result.farkas, rows) if coeffs[j])
-        assert column <= 0
-    assert sum(y * rhs for y, (_, rhs) in zip(result.farkas, rows)) > 0
+    dense_verify_farkas(dense_rows(theory, system.coevents), result.farkas)
 
 
 def test_uniform_three_history_full_candidate_set():
@@ -244,10 +243,9 @@ def test_assignment_satisfies_rows_on_resubstitution():
     )
     result = dy.solve_feasibility(system)
     assert result.feasible
-    for mask in system.rows:
-        coeffs, rhs = system.row(mask)
-        total = sum(x for x, c in zip(result.assignment, coeffs) if c)
-        assert total == rhs
+    for row in dense_rows(theory, system.coevents):
+        total = sum(x for x, c in zip(result.assignment, row.coefficients) if c)
+        assert total == row.rhs
     assert all(x >= 0 for x in result.assignment)
 
 
@@ -344,9 +342,9 @@ def test_solver_agrees_with_floating_lp():
         theory = HistoriesTheory.from_table(space, values)
         candidates = [cv.CoEvent(space, dual_mask=d) for d in dual_masks]
         system = dy.build_feasibility(theory, candidates)
-        rows = [system.row(mask) for mask in system.rows]
-        matrix = [list(coeffs) for coeffs, _ in rows]
-        rhs = [float(b) for _, b in rows]
+        rows = dense_rows(theory, system.coevents)
+        matrix = [list(row.coefficients) for row in rows]
+        rhs = [float(row.rhs) for row in rows]
         lp = scipy_opt.linprog(
             c=[0.0] * count, A_eq=matrix, b_eq=rhs,
             bounds=[(0, None)] * count, method="highs",
@@ -376,5 +374,4 @@ def test_feasibility_json():
     t3 = three_path_theory()
     bad = dy.build_feasibility(t3, [cv.dual(t3.space.event("a", "c"))])
     doc2 = dy.feasibility_result_to_json(bad, dy.solve_feasibility(bad))
-    assert doc2["status"] == "infeasible"
-    assert doc2["certificate"]["event"] == "0x1"
+    assert doc2 == {"status": "infeasible", "certificate": {"farkas": {"0x1": "1"}}}

@@ -228,6 +228,48 @@ def test_non_real_block_sums_name_the_first_event(entries, first):
         theory.minimal_nonnegligible()
 
 
+@st.composite
+def pair_matrices(draw, max_n=7):
+    """Small-integer matrices of up to seven histories.  Below the
+    diagonal each real part equals, negates or is free of its mirror, so
+    some real pairs cancel; in about half of the matrices the imaginary
+    parts cancel in every block, and in the rest they are free (not
+    Hermitian)."""
+    n = draw(st.integers(1, max_n))
+    small = st.integers(-2, 2)
+    re = [[draw(small) for _ in range(n)] for _ in range(n)]
+    im = [[draw(small) for _ in range(n)] for _ in range(n)]
+    hermitian = draw(st.booleans())
+    for i in range(n):
+        for j in range(i):
+            re[i][j] = draw(st.sampled_from((re[j][i], -re[j][i], re[i][j])))
+            if hermitian:
+                im[i][j] = -im[j][i]
+        if hermitian:
+            im[i][i] = 0
+    return [[ComplexRational.of(re[i][j], im[i][j]) for j in range(n)] for i in range(n)]
+
+
+@SMALL
+@given(pair_matrices())
+@example([[ComplexRational.of(0, 0), ComplexRational.of(1, 2)],  # D_01 = -D_10, zero diagonal
+          [ComplexRational.of(-1, -2), ComplexRational.of(0, 0)]])
+@example([[ComplexRational.of(1, 0), ComplexRational.of(1, 1)],  # not real on {0, 1} only
+          [ComplexRational.of(1, 1), ComplexRational.of(0, 0)]])
+def test_pair_form_moebius_matches_the_dense_transform(matrix):
+    n = len(matrix)
+    blocks = [block_sum_reference(matrix, m, m) for m in range(1 << n)]
+    theory = HistoriesTheory.from_decoherence(_space(n), matrix)
+    first = next((m for m, b in enumerate(blocks) if b.imag), None)
+    if first is not None:
+        with pytest.raises(ValueError, match=f"measure of event {hex(first)} is not real"):
+            theory._moebius()
+        return
+    dense = lattice.moebius([b.real for b in blocks], n)
+    coeffs, denom = theory._moebius()
+    assert {m: Fraction(v, denom) for m, v in coeffs.items()} == {m: v for m, v in enumerate(dense) if v}
+
+
 # ---------------------------------------------------------------------------
 # The quadratic identity against the disjoint-triple scan
 # ---------------------------------------------------------------------------
@@ -299,10 +341,10 @@ def full_row_systems(draw):
 
 
 def _simplex(system):
-    rows = [system.row(mask) for mask in system.rows]
+    rows = dense_rows(system.theory, system.coevents)
     return ExactSimplex(
-        [coeffs for coeffs, _ in rows],
-        [rhs for _, rhs in rows],
+        [row.coefficients for row in rows],
+        [row.rhs for row in rows],
         len(system.coevents),
     )
 
@@ -315,8 +357,7 @@ def test_closed_form_feasibility_matches_simplex(system):
     feasible, _ = simplex.phase_one()
     assert result.feasible == feasible
     if not feasible:
-        if result.inconsistent_row is None:
-            dy._verify_farkas(system, result.farkas)
+        dense_verify_farkas(dense_rows(system.theory, system.coevents), result.farkas)
         for phi in system.coevents:
             with pytest.raises(ValueError):
                 dy.max_probability(system, phi)
@@ -335,7 +376,7 @@ def test_closed_form_feasibility_matches_simplex(system):
 def feasibility_systems(draw):
     # masses on the candidates (feasible); the same with one more unit of
     # either sign on an event containing a candidate (mostly a Farkas
-    # certificate); or an arbitrary signed table (mostly a contradictory row)
+    # certificate); or an arbitrary signed table (mostly a one-row certificate)
     n = draw(st.integers(1, 6))
     space = _space(n)
     full = (1 << n) - 1
@@ -361,8 +402,6 @@ def feasibility_systems(draw):
 def test_lattice_pass_checks_match_the_dense_reference(system, data):
     rows = dense_rows(system.theory, system.coevents)
     assert [row.event_mask for row in rows] == list(system.rows)
-    assert [system.row(row.event_mask) for row in rows] == [
-        (row.coefficients, row.rhs) for row in rows]
     result = dy.solve_feasibility(system)
     assert result == dense_solve(rows, [phi.dual_mask for phi in system.coevents])
     # a changed witness fails both the passes and the matrix sums
@@ -372,17 +411,15 @@ def test_lattice_pass_checks_match_the_dense_reference(system, data):
             st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(-1, 7))))
         broken = [x]
         checks = (dy._verify_assignment, lambda _, v: dense_verify_assignment(rows, v))
-    elif result.farkas is not None:
-        # one multiplier raised on an event containing a dual lifts that
-        # column to >= 1; zero multipliers fail on the right-hand side alone
-        phi = data.draw(st.sampled_from(system.coevents))
-        y = list(result.farkas)
-        y[phi.dual_mask | data.draw(st.integers(0, len(rows) - 1))] += 2
-        broken = [y, [Fraction(0)] * len(rows)]
-        checks = (dy._verify_farkas, lambda _, v: dense_verify_farkas(rows, v))
     else:
-        assert not any(system.row(result.inconsistent_row)[0])
-        return
+        # one multiplier raised on an event containing a dual lifts that
+        # column to >= 1; no multipliers fail on the right-hand side alone
+        phi = data.draw(st.sampled_from(system.coevents))
+        y = dict(result.farkas)
+        event = phi.dual_mask | data.draw(st.integers(0, len(rows) - 1))
+        y[event] = y.get(event, 0) + 2
+        broken = [y, {}]
+        checks = (dy._verify_farkas, lambda _, v: dense_verify_farkas(rows, v))
     for witness in broken:
         for check in checks:
             with pytest.raises(AssertionError):
@@ -398,9 +435,9 @@ def test_closed_form_certificate_is_the_signed_moebius_row():
     system = dy.build_feasibility(theory, [cv.dual(e) for e in space.singletons()])
     result = dy.solve_feasibility(system)
     assert not result.feasible
-    assert result.farkas == (-1, 1, 1, -1)
+    assert result.farkas == {0b00: -1, 0b01: 1, 0b10: 1, 0b11: -1}
     assert dy.feasibility_result_to_json(system, result)["certificate"] == {
-        "farkas": ["-1", "1", "1", "-1"]}
+        "farkas": {"0x0": "-1", "0x1": "1", "0x2": "1", "0x3": "-1"}}
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +478,13 @@ def test_operations_finish_at_the_cap():
     assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b100)) == classical.mu_mask(0b100)
     assert dy.max_probability(system, cv.CoEvent(space, dual_mask=0b110)) == 0
     # the duals containing the last history leave the first nonnull
-    # singleton with no dual inside it: a contradictory row
+    # singleton with no dual inside it: a one-row certificate
     top = 1 << (n - 1)
     system = dy.build_feasibility(
         classical, [cv.CoEvent(space, dual_mask=m) for m in range(top, 1 << n)])
     result = dy.solve_feasibility(system)
     first = next(1 << i for i in range(n) if classical.mu_mask(1 << i))
-    assert (result.feasible, result.inconsistent_row) == (False, first)
+    assert (result.feasible, result.farkas) == (False, {first: 1})
 
 
 def test_is_quadratic_finishes_at_the_cap():
