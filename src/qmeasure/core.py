@@ -11,7 +11,9 @@ determinism.
 The measure is stored in one of two forms:
 
 * ``table``: an explicit map from every event to a rational, held as
-  integers over one common denominator, each distinct value parsed once;
+  integers over one common denominator.  A theory file whose keys are
+  ``hex(mask)`` in mask order, as ``theory_to_json`` writes them, is read
+  without a per-key parse; other spellings take it and load the same table;
 * ``pair``: a Hermitian matrix ``D`` over history pairs with exact
   complex-rational entries, the measure of an event being the (real) sum of
   the matrix block over the event.  Its diagonal and its nonzero
@@ -20,6 +22,8 @@ The measure is stored in one of two forms:
   only the real diagonal, an additive (classical, level-one) measure held
   in O(n), so that repeated trial spaces of thousands of histories need no
   table of 2**n entries.
+
+Every form parses each distinct spelling of a rational once.
 
 Interference is measured by the inclusion-exclusion hierarchy ``I_k``; a
 theory is of level ``k`` when ``I_{k+1}`` vanishes on all disjoint tuples,
@@ -42,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from . import lattice
 from .exact import ComplexRational, format_rational, parse_rational, rational_parts
@@ -71,6 +75,11 @@ def _check_enum_cap(n: int, override_cap: bool) -> None:
             f"{n} histories exceeds the enumeration cap of {ENUM_CAP}; "
             "pass override_cap=True (CLI: --override-cap) to force the scan"
         )
+
+
+def _check_table_cap(n: int) -> None:
+    if n > STORAGE_CAP:
+        raise SizeCapError(f"table measure over {n} histories exceeds cap {STORAGE_CAP}")
 
 
 def _parse_eps(eps) -> Fraction:
@@ -110,13 +119,41 @@ def _parse_masks(texts) -> list[int]:
     return list(map(parse_mask, texts))
 
 
-def _by_mask(masks: list[int], values) -> dict:
-    """Table values keyed by their event masks, each event listed once."""
+def _mask_ordered(n: int, masks: list[int], values) -> list:
+    """Table values keyed by their event masks, in mask order, refused
+    unless each of the 2**n events is listed exactly once."""
     table = dict(zip(masks, values))
     if len(table) < len(masks):
         twice = Counter(masks).most_common(1)[0][0]
         raise ValueError(f"table lists event {format_mask(twice)} more than once")
-    return table
+    size = 1 << n
+    if len(table) != size or min(table) < 0 or max(table) >= size:
+        missing = sorted(set(range(size)) - set(table))[:3]
+        extra = sorted(set(table) - set(range(size)))[:3]
+        raise ValueError(
+            f"table must cover every event exactly once "
+            f"(missing {[hex(m) for m in missing]}, extra {[hex(m) for m in extra]})"
+        )
+    return list(map(table.__getitem__, range(size)))
+
+
+def _parse_once(values: list) -> tuple[list[int], int]:
+    """Rationals as integers over one common denominator, ``(t, L)``, each
+    distinct value parsed once.  Strings are keyed by themselves; any other
+    value with its type, so that True, 1.0 and 1 stay apart to be refused
+    or read on their own.  Distinct values are parsed in order of first
+    appearance, so the first bad value is the one named."""
+    keys = values if set(map(type, values)) <= {str} else list(zip(map(type, values), values))
+    try:
+        distinct = dict.fromkeys(keys)
+    except TypeError:  # an unhashable value, such as a JSON list or object
+        for value in values:
+            rational_parts(value)
+        raise
+    parsed = distinct if keys is values else map(itemgetter(1), distinct)
+    t, denom = lattice.over_common_denominator(list(map(rational_parts, parsed)))
+    scaled = dict(zip(distinct, t))
+    return list(map(scaled.__getitem__, keys)), denom
 
 
 @dataclass(frozen=True)
@@ -254,38 +291,19 @@ def event_mul(a: Event, b: Event) -> Event:
 
 
 class TableMeasure:
-    """Explicit measure over all 2**n events, each distinct value parsed once
-    and held as ``ints = (t, L)``: mu(A) = t[A] / L over one common
-    denominator."""
+    """Explicit measure over all 2**n events, given as entries in mask
+    order (the values of a canonical table document as they stand), each
+    distinct value parsed once and held as ``ints = (t, L)``:
+    mu(A) = t[A] / L over one common denominator."""
 
     kind = "table"
     additive = False
 
-    def __init__(self, n: int, values):
-        if n > STORAGE_CAP:
-            raise SizeCapError(f"table measure over {n} histories exceeds cap {STORAGE_CAP}")
-        size = 1 << n
-        if len(values) != size or min(values) < 0 or max(values) >= size:
-            missing = sorted(set(range(size)) - set(values))[:3]
-            extra = sorted(set(values) - set(range(size)))[:3]
-            raise ValueError(
-                f"table must cover every event exactly once "
-                f"(missing {[hex(m) for m in missing]}, extra {[hex(m) for m in extra]})"
-            )
-        entries = list(map(values.__getitem__, range(size)))
-        # Keyed with its type, a value is parsed once however often it
-        # repeats, and True, 1.0 and 1 stay apart to be refused or read on
-        # their own.  Keys appear in mask order, so the first bad entry raises.
-        try:
-            distinct = dict.fromkeys(zip(map(type, entries), entries))
-        except TypeError:  # an unhashable value, such as a JSON list or object
-            for value in entries:
-                rational_parts(value)
-            raise
-        t, denom = lattice.over_common_denominator(
-            list(map(rational_parts, map(itemgetter(1), distinct))))
-        scaled = dict(zip(distinct, t))
-        self.ints = list(map(scaled.__getitem__, zip(map(type, entries), entries))), denom
+    def __init__(self, n: int, entries: list):
+        _check_table_cap(n)
+        if len(entries) != 1 << n:
+            raise ValueError(f"table must cover every event exactly once ({len(entries)} of {1 << n})")
+        self.ints = _parse_once(entries)
 
 
 class PairMeasure:
@@ -386,12 +404,13 @@ class HistoriesTheory:
                 masks.append(key.mask)
             else:
                 masks.append(int(key))
-        return cls(space, TableMeasure(space.n, _by_mask(masks, values.values())))
+        return cls(space, TableMeasure(space.n, _mask_ordered(space.n, masks, values.values())))
 
     @classmethod
     def from_decoherence(cls, space: SampleSpace, matrix) -> "HistoriesTheory":
         """Build from an n x n matrix of ``ComplexRational``s or ``[re, im]``
-        pairs of rationals, each part parsed once, in row-major order."""
+        pairs of rationals, each distinct part parsed once, in row-major
+        order, so the first bad part is named before the shape."""
         n = space.n
         parts, widths = [], []
         for row in matrix:
@@ -400,12 +419,13 @@ class HistoriesTheory:
                 if isinstance(entry, ComplexRational):
                     entry = entry.real, entry.imag
                 elif not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                    _parse_once(parts)  # a bad part before the entry is named first
                     raise ValueError("matrix entries must be [re, im] pairs")
-                parts += map(rational_parts, entry)
+                parts += entry
             widths.append(len(parts) - start)
+        t, denom = _parse_once(parts)
         if widths != [2 * n] * n:
             raise ValueError(f"decoherence matrix must be {n}x{n}")
-        t, denom = lattice.over_common_denominator(parts)
         diag, pairs = [], []
         for part in (t[0::2], t[1::2]):  # the real, then the imaginary parts, row-major
             rows = ({j: v for j, v in enumerate(part[i * n:(i + 1) * n]) if v and j != i} for i in range(n))
@@ -420,7 +440,7 @@ class HistoriesTheory:
         ws = tuple(weights)
         if len(ws) != space.n:
             raise ValueError("one weight per history required")
-        t, denom = lattice.over_common_denominator(list(map(rational_parts, ws)))
+        t, denom = _parse_once(ws)
         return cls(space, PairMeasure("weights", (t, [0] * len(t)), ({}, {}), denom))
 
     @property
@@ -633,7 +653,7 @@ class HistoriesTheory:
         unions = [0]
         for block in blocks:
             unions += [u | block.mask for u in unions]
-        return HistoriesTheory(new_space, TableMeasure(k, dict(enumerate(map(self.mu_mask, unions)))))
+        return HistoriesTheory(new_space, TableMeasure(k, list(map(self.mu_mask, unions))))
 
     # -- validation ---------------------------------------------------------
 
@@ -772,7 +792,15 @@ def theory_from_json(doc: dict) -> HistoriesTheory:
         raw = measure.get("values")
         if not isinstance(raw, dict):
             raise ValueError("table measure needs a 'values' object")
-        return HistoriesTheory(space, TableMeasure(space.n, _by_mask(_parse_masks(raw), raw.values())))
+        # keys spelled hex(mask) in mask order, as theory_to_json writes
+        # them, are compared lazily and skip the per-key parse
+        n = space.n
+        _check_table_cap(n)
+        if len(raw) == 1 << n and all(map(eq, raw, map(hex, range(1 << n)))):
+            entries = list(raw.values())
+        else:
+            entries = _mask_ordered(n, _parse_masks(raw), raw.values())
+        return HistoriesTheory(space, TableMeasure(n, entries))
     if mtype == "decoherence":
         raw = measure.get("matrix")
         if not isinstance(raw, list):

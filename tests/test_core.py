@@ -760,6 +760,79 @@ def test_large_table_loads_match_the_per_entry_reference():
         assert theory_from_json(doc)._ints == per_entry_table_load(n, raw)
 
 
+#: spellings of a mask other than hex(mask), all read by int(key, 16)
+_KEY_SPELLINGS = (hex, lambda m: f"0X{m:x}", lambda m: f"0x{m:02x}", lambda m: f"{m:x}", lambda m: f"0x{m:X}")
+
+
+@st.composite
+def _canonical_table(draw):
+    """A table over at most six histories in lowest terms, and a shuffled
+    respelling of its keys."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                           min_size=1 << n, max_size=1 << n))
+    spelled = [(draw(st.sampled_from(_KEY_SPELLINGS))(m), str(v)) for m, v in enumerate(values)]
+    return n, values, dict(draw(st.permutations(spelled)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_canonical_table())
+def test_canonical_table_keys_load_as_any_other_spelling(case):
+    """Keys spelled hex(mask) in mask order skip the per-key parse; the
+    theory is the one read from respelled, shuffled keys, or from int and
+    Fraction values, and theory_to_json writes the canonical document back."""
+    n, values, respelled = case
+    histories = [f"h{i}" for i in range(n)]
+
+    def load(raw):
+        return theory_from_json({"histories": histories, "measure": {"type": "table", "values": raw}})
+
+    doc = {"histories": histories,
+           "measure": {"type": "table", "values": {hex(m): str(v) for m, v in enumerate(values)}}}
+    theory = load(doc["measure"]["values"])
+    exact = {hex(m): int(v) if v.denominator == 1 else v for m, v in enumerate(values)}
+    assert theory.measure.ints == load(respelled).measure.ints == load(exact).measure.ints
+    assert theory.measure.ints == per_entry_table_load(n, respelled)
+    assert theory_to_json(theory) == doc
+
+
+def test_canonical_table_documents_refuse_one_bad_part():
+    histories = ["a", "b", "c", "d"]
+
+    def load(**changes):
+        values = {hex(m): f"{m}/120" for m in range(16)}
+        values.update(changes.pop("values", {}))
+        for key in changes.pop("drop", ()):
+            del values[key]
+        return theory_from_json({"histories": changes.pop("histories", histories),
+                                 "measure": {"type": "table", "values": values}})
+
+    load()  # the document itself loads
+    # after an int equal to them, True and 1.0 are still read on their own
+    with pytest.raises(TypeError, match="booleans are not rationals"):
+        load(values={"0x1": 1, "0x7": True})
+    with pytest.raises(TypeError, match="got float"):
+        load(values={"0x1": 1, "0x7": 1.0})
+    with pytest.raises(TypeError, match="got list"):
+        load(values={"0x7": [1, 2]})
+    with pytest.raises(ValueError, match="not a rational: 'junk5'"):
+        load(values={"0x5": "junk5", "0x9": "junk9"})
+    with pytest.raises(ValueError, match="cover every event"):
+        load(drop=["0xb"])
+    with pytest.raises(ValueError, match="cover every event"):
+        load(values={"0x10": "0"})
+    # the cap comes before any key is read: a bad key would otherwise raise
+    with pytest.raises(SizeCapError):
+        load(histories=[f"h{i}" for i in range(25)], values={"zz": "junk"})
+
+
+def test_decoherence_names_a_repeated_bad_part_once_before_the_shape():
+    matrix = [[["0", "bad"], ["bad", "0"]], [["bad", "0"]]]
+    with pytest.raises(ValueError, match="not a rational") as caught:
+        theory_from_json({"histories": ["a", "b"], "measure": {"type": "decoherence", "matrix": matrix}})
+    assert str(caught.value).count("bad") == 1
+
+
 def test_theory_json_round_trip_decoherence():
     theory = three_path_theory()
     doc = theory_to_json(theory)
